@@ -1,5 +1,9 @@
 #include "decomp/find_max_cliques.h"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "exec/executor.h"
 
 namespace mce::decomp {
@@ -19,13 +23,34 @@ uint64_t FindMaxCliquesResult::CliquesFromLevel(uint32_t min_level) const {
 StreamingStats FindMaxCliquesStreaming(const Graph& g,
                                        const FindMaxCliquesOptions& options,
                                        const LeveledCliqueCallback& emit) {
-  return exec::MakeExecutor(options)->Run(g, options, emit);
+  const size_t threads = exec::ResolveThreadCount(options.num_threads);
+  const bool pooled = options.executor == ExecutorKind::kPooled ||
+                      (options.executor == ExecutorKind::kAuto && threads > 1);
+  return pooled ? exec::RunPooled(g, options, threads, emit)
+                : exec::RunSerial(g, options, emit);
 }
 
 FindMaxCliquesResult FindMaxCliques(const Graph& g,
                                     const FindMaxCliquesOptions& options) {
-  std::unique_ptr<exec::Executor> executor = exec::MakeExecutor(options);
-  return exec::CollectToResult(*executor, g, options);
+  std::vector<std::pair<Clique, uint32_t>> found;
+  StreamingStats stats = FindMaxCliquesStreaming(
+      g, options, [&found](std::span<const NodeId> clique, uint32_t level) {
+        found.emplace_back(Clique(clique.begin(), clique.end()), level);
+      });
+  std::sort(found.begin(), found.end());
+
+  FindMaxCliquesResult out;
+  out.levels = std::move(stats.levels);
+  out.used_fallback = stats.used_fallback;
+  out.reduction = stats.reduction;
+  out.memory = stats.memory;
+  out.progress = stats.progress;
+  out.profile = stats.profile;
+  for (auto& [clique, origin] : found) {
+    out.origin_level.push_back(origin);
+    out.cliques.Add(std::move(clique));  // already sorted
+  }
+  return out;
 }
 
 }  // namespace mce::decomp

@@ -37,13 +37,21 @@ class MetricsRegistry;
 
 namespace mce::decomp {
 
-/// Telemetry for one analyzed block; consumed by the distributed-execution
-/// simulator (src/dist) to schedule and cost block tasks.
+/// One analyzed block — the unit of work Section 3.2 ships to a cluster
+/// worker. Every executor delivers exactly one record per block through
+/// FindMaxCliquesOptions::block_observer; the distributed-execution
+/// simulator (src/dist) schedules and costs block tasks from the same
+/// stream.
 struct BlockTaskRecord {
   uint32_t level = 0;
+  /// Block index within its level (emission order).
+  uint64_t index = 0;
   uint64_t nodes = 0;
   uint64_t edges = 0;
   uint64_t bytes = 0;    // estimated shipping size
+  /// Pre-execution cost estimate (decision::EstimateBlockCost), the score
+  /// that drives cost-guided dispatch and splitting.
+  double estimated_cost = 0;
   uint64_t cliques = 0;
   double seconds = 0;    // measured analysis wall time
   MceOptions used;
@@ -114,7 +122,8 @@ struct FindMaxCliquesOptions {
   bool reduce = false;
   /// Optional per-block hook, called after each block is analyzed. Always
   /// invoked from the pipeline's calling thread, in block order, even when
-  /// num_threads > 1 — it need not be thread-safe.
+  /// num_threads > 1 — it need not be thread-safe. The record stream is
+  /// identical across executors (timings aside).
   std::function<void(const BlockTaskRecord&)> block_observer;
   /// Observability sinks (src/obs) for this run. Not owned; must outlive
   /// the run. nullptr means "use the process-wide installed instance, if
@@ -136,10 +145,10 @@ struct FindMaxCliquesOptions {
   /// Byte budget for the engine's tracked materializations (pipeline graph,
   /// level subgraphs, blocks, analysis workspaces, clique-sink buffers).
   /// 0 = unlimited (peak is still tracked). With a budget set, the pooled
-  /// executor holds ready BlockTasks back — beyond the first, so progress
-  /// is guaranteed — while admitting one would push the tracked bytes past
-  /// the budget, and clique sinks spill once past the spill threshold.
-  /// CLI: --memory-budget.
+  /// executor holds ready BlockTasks and newly grown blocks back while
+  /// admitting them would push the tracked bytes past the budget (progress
+  /// is guaranteed; DESIGN.md §11), and clique sinks spill once past the
+  /// spill threshold. CLI: --memory-budget.
   uint64_t memory_budget_bytes = 0;
   /// Per-level resident-byte ceiling for buffered cliques before sinks
   /// flush sorted FlatCliques chunks to temp files. 0 derives

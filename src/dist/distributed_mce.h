@@ -44,6 +44,11 @@ struct DistributedResult {
   double AnalysisComputeSpeedup() const;
 };
 
+/// Runs the engine picked by `options` and simulates each recursion
+/// level's block tasks on `cluster`, fed by the engine's block observer
+/// stream (the caller's options.block_observer, if set, still sees every
+/// record). With a trace recorder resolved, the simulated placement is
+/// replayed as kSimBlock spans on synthetic per-(worker, thread) lanes.
 DistributedResult RunDistributedMce(const Graph& g,
                                     decomp::FindMaxCliquesOptions options,
                                     const ClusterConfig& cluster);

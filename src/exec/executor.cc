@@ -1,9 +1,6 @@
 #include "exec/executor.h"
 
-#include <algorithm>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "util/logging.h"
 
@@ -21,44 +18,6 @@ size_t ResolveThreadCount(uint32_t requested) {
     return 1;
   }
   return hw;
-}
-
-std::unique_ptr<Executor> MakeExecutor(
-    const decomp::FindMaxCliquesOptions& options) {
-  const size_t threads = ResolveThreadCount(options.num_threads);
-  switch (options.executor) {
-    case decomp::ExecutorKind::kSerial:
-      return MakeSerialExecutor();
-    case decomp::ExecutorKind::kPooled:
-      return MakePooledExecutor(threads);
-    case decomp::ExecutorKind::kAuto:
-      break;
-  }
-  return threads > 1 ? MakePooledExecutor(threads) : MakeSerialExecutor();
-}
-
-decomp::FindMaxCliquesResult CollectToResult(
-    Executor& executor, const Graph& g,
-    const decomp::FindMaxCliquesOptions& options) {
-  std::vector<std::pair<Clique, uint32_t>> found;
-  decomp::StreamingStats stats = executor.Run(
-      g, options, [&found](std::span<const NodeId> clique, uint32_t level) {
-        found.emplace_back(Clique(clique.begin(), clique.end()), level);
-      });
-  std::sort(found.begin(), found.end());
-
-  decomp::FindMaxCliquesResult out;
-  out.levels = std::move(stats.levels);
-  out.used_fallback = stats.used_fallback;
-  out.reduction = stats.reduction;
-  out.memory = stats.memory;
-  out.progress = stats.progress;
-  out.profile = stats.profile;
-  for (auto& [clique, origin] : found) {
-    out.origin_level.push_back(origin);
-    out.cliques.Add(std::move(clique));  // already sorted
-  }
-  return out;
 }
 
 }  // namespace mce::exec

@@ -1,76 +1,52 @@
-// Executor: pluggable engines that run the FIND-MAX-CLIQUES task graph
-// (exec/task_graph.h).
+// The execution engines that run the FIND-MAX-CLIQUES task graph
+// (exec/task_graph.h). decomp::FindMaxCliquesStreaming picks one from
+// options.executor / options.num_threads.
 //
-// Every executor honors the delivery contract of DESIGN.md §7: the clique
-// callback, the block observer, and the block-task sink run only on the
-// thread that called Run(), blocks surface in decomposition order, levels
-// in recursion order — so all executors produce byte-identical emission.
-// What differs is scheduling:
+// Both engines honor the delivery contract of DESIGN.md §7: the clique
+// callback and the block observer run only on the thread that called the
+// engine, blocks surface in decomposition order, levels in recursion
+// order — so both produce byte-identical emission. What differs is
+// scheduling:
 //
-//   SerialExecutor  — depth-first on the calling thread; each BlockTask
-//                     runs the moment DecomposeTask emits its block, so
-//                     memory stays O(graph + largest block).
-//   PooledExecutor  — BlockTasks dispatch to a shared ThreadPool as
-//                     BuildBlocks emits them, FilterTasks chunk across the
-//                     pool behind a completion token, and
-//                     DecomposeTask(h+1) is submitted right after Cut(h)
-//                     so it overlaps the tail of level-h analysis.
+//   RunSerial  — depth-first on the calling thread; each BlockTask runs
+//                the moment DecomposeTask emits its block, so memory stays
+//                O(graph + largest block).
+//   RunPooled  — BlockTasks dispatch to a shared ThreadPool as BuildBlocks
+//                emits them, FilterTasks chunk across the pool behind a
+//                completion token, and DecomposeTask(h+1) is submitted
+//                right after Cut(h) so it overlaps the tail of level-h
+//                analysis.
 //
-// The simulated-cluster wrapper lives in exec/cluster_executor.h.
+// The simulated cluster (dist::RunDistributedMce) consumes the block
+// observer stream of whichever engine runs.
 
 #ifndef MCE_EXEC_EXECUTOR_H_
 #define MCE_EXEC_EXECUTOR_H_
 
 #include <cstddef>
-#include <functional>
-#include <memory>
-#include <utility>
+#include <cstdint>
 
 #include "decomp/find_max_cliques.h"
-#include "exec/task_graph.h"
 #include "graph/graph.h"
 
 namespace mce::exec {
 
-/// Receives one descriptor per executed BlockTask, on the calling thread,
-/// in block order, after options.block_observer for the same block.
-using BlockTaskSink = std::function<void(const BlockTaskDescriptor&)>;
+/// Runs the full task graph over `g` on the calling thread. `emit`
+/// receives each maximal clique of g (sorted, original ids) exactly once,
+/// already past the Lemma-1 filter, in an order independent of the engine.
+decomp::StreamingStats RunSerial(const Graph& g,
+                                 const decomp::FindMaxCliquesOptions& options,
+                                 const decomp::LeveledCliqueCallback& emit);
 
-class Executor {
- public:
-  virtual ~Executor() = default;
-
-  /// Runs the full task graph over `g`. `emit` receives each maximal
-  /// clique of g (sorted, original ids) exactly once, already past the
-  /// Lemma-1 filter, in an order independent of the executor.
-  virtual decomp::StreamingStats Run(
-      const Graph& g, const decomp::FindMaxCliquesOptions& options,
-      const decomp::LeveledCliqueCallback& emit) = 0;
-
-  void set_block_task_sink(BlockTaskSink sink) { sink_ = std::move(sink); }
-
- protected:
-  BlockTaskSink sink_;
-};
-
-std::unique_ptr<Executor> MakeSerialExecutor();
-std::unique_ptr<Executor> MakePooledExecutor(size_t num_threads);
-
-/// Resolves options.executor and options.num_threads (0 = one per hardware
-/// thread) into a concrete engine: kAuto picks serial at one thread,
-/// pooled otherwise.
-std::unique_ptr<Executor> MakeExecutor(
-    const decomp::FindMaxCliquesOptions& options);
+/// RunSerial's contract on a pool of `num_threads` workers (0 is treated
+/// as 1; resolve "all hardware threads" with ResolveThreadCount first).
+decomp::StreamingStats RunPooled(const Graph& g,
+                                 const decomp::FindMaxCliquesOptions& options,
+                                 size_t num_threads,
+                                 const decomp::LeveledCliqueCallback& emit);
 
 /// 0 means one worker per hardware thread; otherwise the request stands.
 size_t ResolveThreadCount(uint32_t requested);
-
-/// Runs `executor` and assembles the batch result: cliques canonicalized
-/// and sorted with their origin levels, plus the streaming stats. Shared
-/// by decomp::FindMaxCliques and dist::RunDistributedMce.
-decomp::FindMaxCliquesResult CollectToResult(
-    Executor& executor, const Graph& g,
-    const decomp::FindMaxCliquesOptions& options);
 
 }  // namespace mce::exec
 

@@ -1,4 +1,4 @@
-// PooledExecutor: the task graph on a shared ThreadPool.
+// RunPooled: the task graph on a shared ThreadPool.
 //
 // Scheduling differences vs. the serial depth-first walk:
 //  * BlockTasks are submitted the moment BuildBlocksStreaming emits each
@@ -14,10 +14,10 @@
 //  * The level's FilterTasks are chained behind its last BlockTask with a
 //    ThreadPool::Completion token instead of a pool-wide Wait() barrier.
 //
-// Delivery (cliques, observer records, block-task descriptors, stats)
-// happens only on the calling thread, levels in order and blocks in
-// decomposition order, off buffered per-block results — which is what
-// makes the emission byte-identical to the serial executor.
+// Delivery (cliques, observer records, stats) happens only on the
+// calling thread, levels in order and blocks in decomposition order, off
+// buffered per-block results — which is what makes the emission
+// byte-identical to the serial engine.
 //
 // Timing: every task records one begin/end window on the obs::NowMicros()
 // timebase. The same windows feed the trace recorder (when one is
@@ -51,8 +51,8 @@
 #include "decomp/block_analysis.h"
 #include "decomp/cut.h"
 #include "decomp/filter.h"
-#include "decomp/parallel_analysis.h"
 #include "exec/executor.h"
+#include "exec/task_graph.h"
 #include "graph/subgraph.h"
 #include "mce/clique_sink.h"
 #include "mce/workspace.h"
@@ -85,27 +85,25 @@ struct ShardRun {
 /// emission and never resized, so shard tasks hold stable element
 /// pointers.
 struct BlockExec {
-  /// decision::EstimateBlockCost score, computed at emission; drives both
-  /// the largest-first dispatch order and the split decision.
-  double cost = 0;
+  /// The block, materialized from emission until its last shard finishes
+  /// and frees it (releasing its record.bytes budget charge).
+  decomp::Block block;
+  /// The observer record. Shape, index and the decision::EstimateBlockCost
+  /// score (which drives both the largest-first dispatch order and the
+  /// split decision) are set at emission; the last-finishing shard adds
+  /// `used` (the classification is deterministic per block) and the
+  /// summed clique count / serial-equivalent seconds.
+  decomp::BlockTaskRecord record;
   /// Progress units already retired by this block's finished shards
-  /// (engine mutex). The last shard retires `cost - cost_retired`, so the
-  /// retired total sums exactly to the registered cost however the block
-  /// was split.
+  /// (engine mutex). The last shard retires the residual of
+  /// record.estimated_cost, so the retired total sums exactly to the
+  /// registered cost however the block was split.
   double cost_retired = 0;
-  /// The block's EstimatedBytes(), charged to the MemoryBudget at
-  /// emission; zeroed wherever the charge is released.
-  uint64_t block_bytes = 0;
   /// EstimateAnalysisBytes of the block — the per-shard workspace charge
   /// admission is decided against.
   uint64_t ws_bytes = 0;
   std::vector<ShardRun> shards;
   size_t shards_done = 0;  // engine mutex
-  /// Whole-block aggregate, written by the last-finishing shard: `used`
-  /// from any shard (the classification is deterministic per block) and
-  /// the summed clique count / serial-equivalent seconds.
-  decomp::BlockAnalysisResult result;
-  double seconds = 0;
 };
 
 /// All state of one recursion level as it moves through the task graph.
@@ -125,9 +123,8 @@ struct LevelRun {
   bool child_induced = false;
   bool delivered = false;
 
-  // BlockTask state. Deques so emitted tasks hold stable pointers while
+  // BlockTask state. A deque so emitted tasks hold stable pointers while
   // the decompose task keeps appending.
-  std::deque<decomp::Block> blocks;
   std::deque<BlockExec> execs;
   /// Tiny-block batch under construction (touched only by the level's
   /// decompose worker, before blocks_final). Blocks predicted under the
@@ -135,12 +132,7 @@ struct LevelRun {
   /// max_block_cost of work, the same granularity giant blocks are split
   /// down to — dispatch overhead then scales with predicted work, not
   /// block count.
-  struct BatchItem {
-    decomp::Block* block = nullptr;
-    BlockExec* exec = nullptr;
-    uint64_t index = 0;
-  };
-  std::vector<BatchItem> batch;
+  std::vector<BlockExec*> batch;
   double batch_cost = 0;
   bool blocks_final = false;
   size_t blocks_done = 0;
@@ -166,6 +158,10 @@ struct LevelRun {
   // in `runs`; filter chunk windows are appended under the engine mutex.
   int64_t decompose_begin_us = 0;
   int64_t decompose_end_us = 0;
+  /// Counter delta of analyses the decompose worker ran while held at the
+  /// block gate; subtracted from the decompose window so the decompose
+  /// bucket holds only its self work.
+  obs::CounterDelta decompose_helped;
   std::vector<std::pair<int64_t, int64_t>> filter_spans;
   int64_t fallback_begin_us = 0;
   int64_t fallback_end_us = 0;
@@ -176,11 +172,9 @@ struct LevelRun {
 class PooledEngine {
  public:
   PooledEngine(const Graph& g, const decomp::FindMaxCliquesOptions& options,
-               size_t num_threads, const BlockTaskSink& sink,
-               const decomp::LeveledCliqueCallback& emit)
+               size_t num_threads, const decomp::LeveledCliqueCallback& emit)
       : original_(g),
         options_(options),
-        sink_(sink),
         emit_(emit),
         blocks_options_(BlocksOptionsFor(options)),
         analysis_options_(AnalysisOptionsFor(options)),
@@ -361,9 +355,9 @@ class PooledEngine {
     {
       std::lock_guard<std::mutex> lock(mu_);
       lr->blocks_final = true;
-      lr->stats.blocks = lr->blocks.size();
+      lr->stats.blocks = lr->execs.size();
       lr->decompose_end_us = obs::NowMicros();
-      signal = !lr->analysis_signaled && lr->blocks_done == lr->blocks.size();
+      signal = !lr->analysis_signaled && lr->blocks_done == lr->execs.size();
       if (signal) {
         lr->analysis_signaled = true;
         token = lr->analysis_token;
@@ -380,6 +374,7 @@ class PooledEngine {
     obs::CounterDelta delta;
     if (counters.active()) {
       delta = counters.Finish();
+      delta.SaturatingSubtract(lr->decompose_helped);
       profile_.Add(
           obs::SpanKind::kDecompose, lr->level,
           static_cast<double>(lr->decompose_end_us - lr->decompose_begin_us) *
@@ -419,34 +414,20 @@ class PooledEngine {
             ? decision::PlanShardCount(cost, options_.max_block_cost, kernels)
             : 1;
 
-    decomp::Block* block = nullptr;
     BlockExec* exec = nullptr;
-    uint64_t index = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      index = lr->blocks.size();
-      lr->blocks.push_back(std::move(b));
-      lr->execs.emplace_back();
-      block = &lr->blocks.back();
-      exec = &lr->execs.back();
-      exec->cost = cost;
+      exec = &lr->execs.emplace_back();
+      exec->record =
+          MakeBlockTaskRecord(b, lr->level, lr->execs.size() - 1, cost);
+      exec->block = std::move(b);
       exec->shards.resize(shards);
     }
+    exec->ws_bytes = EstimateAnalysisBytes(exec->block);
     // Materialized-block charge: the block exists from emission until its
-    // last shard frees it (or delivery, when an observer/sink holds it).
-    // Gated like an analysis admission — while analyses are in flight the
-    // decompose worker waits for their releases instead of piling blocks
-    // past the budget; the shard tasks already dispatched for earlier
-    // blocks keep the pool busy meanwhile.
-    exec->block_bytes = block->EstimatedBytes();
-    exec->ws_bytes = EstimateAnalysisBytes(*block);
-    if (budget_.limited() && budget_.WouldExceed(exec->block_bytes)) {
-      // About to wait: dispatch the coalesced batch first, so every
-      // charged block has a runnable analysis and the wait cannot starve
-      // on blocks only this worker could have dispatched.
-      FlushBatch(lr);
-    }
-    GateCharge(lr->level, exec->block_bytes, /*admit_analysis=*/false);
+    // last shard frees it. Under a budget the charge waits at the block
+    // gate (AdmitBlock) instead of piling blocks past the budget.
+    AdmitBlock(lr, exec->record.bytes);
     // Shard sinks are created here, on the decompose worker, before any
     // shard task can observe its slot through the dispatch queue.
     for (ShardRun& run : exec->shards) {
@@ -459,7 +440,7 @@ class PooledEngine {
       // (and unconditionally at decompose end), so every pool task —
       // shard, batch, or lone mid-sized block — carries comparable work.
       exec->shards[0].range = {0, kernels};
-      lr->batch.push_back({block, exec, index});
+      lr->batch.push_back(exec);
       lr->batch_cost += cost;
       // Batches flush about a split-threshold's worth of work at a time:
       // large enough that dispatch and context-switch overhead is
@@ -480,9 +461,7 @@ class PooledEngine {
       ShardRun& run = exec->shards[s];
       run.range.begin = kernels * s / shards;
       run.range.end = kernels * (s + 1) / shards;
-      queue_.Push(shard_cost, [this, lr, block, exec, s, index] {
-        ShardTask(lr, block, exec, s, index);
-      });
+      queue_.Push(shard_cost, [this, lr, exec, s] { ShardTask(lr, exec, s); });
       // One generic pull per queued task: the pool stays FIFO while the
       // queue decides which analysis task each freed worker runs —
       // highest predicted cost first (DESIGN.md §7).
@@ -497,9 +476,7 @@ class PooledEngine {
     if (lr->batch.empty()) return;
     const double cost = lr->batch_cost;
     queue_.Push(cost, [this, lr, items = std::move(lr->batch)] {
-      for (const LevelRun::BatchItem& it : items) {
-        ShardTask(lr, it.block, it.exec, 0, it.index);
-      }
+      for (BlockExec* exec : items) ShardTask(lr, exec, 0);
     });
     lr->batch = {};
     lr->batch_cost = 0;
@@ -509,8 +486,7 @@ class PooledEngine {
   /// BlockShardTask(level, i, s): Algorithm 4 over the shard's kernel
   /// range, into the shard's buffer slot. The last-finishing shard
   /// aggregates the block and advances the level's completion state.
-  void ShardTask(LevelRun* lr, decomp::Block* block, BlockExec* exec,
-                 size_t shard, uint64_t index) {
+  void ShardTask(LevelRun* lr, BlockExec* exec, size_t shard) {
     const size_t worker_index = ThreadPool::CurrentWorkerIndex();
     const size_t worker =
         worker_index == ThreadPool::kNotAWorker ? 0 : worker_index;
@@ -534,7 +510,7 @@ class PooledEngine {
     const reduce::ReductionMap* const expansion = expansion_;
     Clique expand_tmp;
     run.result = decomp::AnalyzeBlock(
-        *block, analysis_options_,
+        exec->block, analysis_options_,
         [&run, canonicalize, expansion, &expand_tmp](
             std::span<const NodeId> c) {
           if (canonicalize) {
@@ -554,6 +530,8 @@ class PooledEngine {
     run.seconds = static_cast<double>(run.end_us - run.begin_us) * 1e-6;
     run.worker = worker;
     const size_t total = exec->shards.size();
+    const uint64_t index = exec->record.index;
+    const double cost = exec->record.estimated_cost;
     obs::CounterDelta delta;
     if (counters.active()) {
       delta = counters.Finish();
@@ -568,13 +546,14 @@ class PooledEngine {
                                                run.result.num_cliques, total,
                                                run.result.used);
         // Equal predicted share per shard — matching the dispatch queue.
-        e.cost = exec->cost / static_cast<double>(total);
+        e.cost = cost / static_cast<double>(total);
         e.prof = delta;
         trace_->Record(e);
       } else {
-        obs::TraceEvent e = MakeBlockSpan(run.begin_us, run.end_us, *block,
-                                          run.result, lr->level, index);
-        e.cost = exec->cost;
+        obs::TraceEvent e = MakeBlockSpan(run.begin_us, run.end_us,
+                                          exec->block, run.result, lr->level,
+                                          index);
+        e.cost = cost;
         e.prof = delta;
         trace_->Record(e);
       }
@@ -590,9 +569,8 @@ class PooledEngine {
         // Equal predicted share per shard; the last shard retires the
         // exact residual so the block's retired total equals its
         // registered cost bit for bit.
-        retire = block_done
-                     ? std::max(exec->cost - exec->cost_retired, 0.0)
-                     : exec->cost / static_cast<double>(total);
+        retire = block_done ? std::max(cost - exec->cost_retired, 0.0)
+                            : cost / static_cast<double>(total);
         exec->cost_retired += retire;
       }
     }
@@ -607,21 +585,18 @@ class PooledEngine {
 
     // All shard writers finished before the shards_done transition this
     // thread observed, so their slots are safe to read unlocked.
-    exec->result.used = exec->shards.front().result.used;
+    decomp::BlockTaskRecord& record = exec->record;
+    record.used = exec->shards.front().result.used;
     for (const ShardRun& s : exec->shards) {
-      exec->result.num_cliques += s.result.num_cliques;
-      exec->seconds += s.seconds;
+      record.cliques += s.result.num_cliques;
+      record.seconds += s.seconds;
     }
     // Workload metrics count whole blocks, however many shards ran them.
-    metrics_.RecordBlock(*block, exec->result, exec->seconds);
-    if (!options_.block_observer && !sink_) {
-      // Without an observer or sink, delivery never reads the block again
-      // — only this task's aggregates. Freeing the subgraph here keeps the
-      // engine's live footprint near the serial one-block-at-a-time
-      // profile instead of holding every block until the level delivers.
-      *block = decomp::Block();
-      ReleaseBlockCharge(exec);
-    }
+    metrics_.RecordBlock(record);
+    // Delivery reads only the record and the shard buffers, never the
+    // block: freeing it here keeps the engine's live footprint near the
+    // serial one-block-at-a-time profile.
+    ReleaseBlock(exec);
 
     bool signal = false;
     ThreadPool::Completion token;
@@ -629,7 +604,7 @@ class PooledEngine {
       std::lock_guard<std::mutex> lock(mu_);
       ++lr->blocks_done;
       signal = lr->blocks_final && !lr->analysis_signaled &&
-               lr->blocks_done == lr->blocks.size();
+               lr->blocks_done == lr->execs.size();
       if (signal) {
         lr->analysis_signaled = true;
         token = lr->analysis_token;
@@ -793,8 +768,8 @@ class PooledEngine {
     }
   }
 
-  /// Calling thread only. Emits the level's cliques, replays observer and
-  /// sink in block order, and finalizes the level's stats.
+  /// Calling thread only. Emits the level's cliques, replays the observer
+  /// records in block order, and finalizes the level's stats.
   void DeliverLevel(LevelRun* lr, decomp::StreamingStats& out) {
     decomp::LevelStats& stats = lr->stats;
     const uint64_t emitted_before = out.cliques_emitted;
@@ -813,27 +788,18 @@ class PooledEngine {
     } else {
       std::vector<double> worker_seconds(pool_.num_threads(), 0.0);
       uint64_t produced = 0;
-      for (size_t i = 0; i < lr->execs.size(); ++i) {
-        const BlockExec& exec = lr->execs[i];
-        produced += exec.result.num_cliques;
-        stats.block_seconds += exec.seconds;
+      for (const BlockExec& exec : lr->execs) {
+        produced += exec.record.cliques;
+        stats.block_seconds += exec.record.seconds;
         if (exec.shards.size() > 1) ++stats.block_splits;
         for (const ShardRun& run : exec.shards) {
           worker_seconds[run.worker] += run.seconds;
           analyze_spans.push_back(Range(run.begin_us, run.end_us));
         }
-        // Observer and sink see one record per block — the aggregated
-        // whole-block result — whether or not it ran as shards, so their
-        // streams match the serial executor's.
-        if (options_.block_observer) {
-          options_.block_observer(decomp::MakeBlockTaskRecord(
-              lr->blocks[i], exec.result, exec.seconds, lr->level));
-        }
-        if (sink_) {
-          sink_(MakeBlockTaskDescriptor(lr->blocks[i], exec.result,
-                                        exec.seconds, lr->level, i,
-                                        exec.cost));
-        }
+        // The observer sees one record per block — the aggregated
+        // whole-block result — whether or not it ran as shards, so its
+        // stream matches the serial executor's.
+        if (options_.block_observer) options_.block_observer(exec.record);
       }
       stats.cliques = produced;
       stats.busiest_worker_seconds =
@@ -894,10 +860,7 @@ class PooledEngine {
       out.memory.spill_chunks += s->spilled_chunks();
       out.memory.spill_bytes += s->spilled_bytes();
     };
-    for (BlockExec& exec : lr->execs) {
-      // Blocks still materialized (observer/sink runs hold them until
-      // delivery) release their charge here.
-      ReleaseBlockCharge(&exec);
+    for (const BlockExec& exec : lr->execs) {
       for (const ShardRun& run : exec.shards) absorb(run.cliques.get());
     }
     for (const std::unique_ptr<CliqueSink>& chunk : lr->filter_out) {
@@ -907,7 +870,6 @@ class PooledEngine {
 
     // Free the bulky per-level state now that it is delivered. Destroying
     // the sinks releases their residual byte accounting.
-    lr->blocks.clear();
     lr->execs.clear();
     lr->filter_sinks = {};
     lr->filter_out.clear();
@@ -961,89 +923,104 @@ class PooledEngine {
   /// admits, so an undersized budget degrades to serial admission instead
   /// of deadlocking.
   void AdmitAnalysis(uint32_t level, uint64_t bytes) {
-    GateCharge(level, bytes, /*admit_analysis=*/true);
-  }
-
-  /// The shared budget gate behind AdmitAnalysis and EmitBlock's
-  /// materialized-block charge. Waits while charging `bytes` would cross
-  /// the budget *and* something else holds gated bytes it will release.
-  /// The two callers escape differently:
-  ///  - an analysis waits only while other analyses run (in_flight > 0):
-  ///    the first analysis always admits, so an undersized budget
-  ///    degrades to serial admission instead of deadlocking;
-  ///  - the decompose worker additionally waits while *materialized
-  ///    blocks* are outstanding — every one of them has a dispatched
-  ///    analysis (EmitBlock flushes its coalesce batch before gating)
-  ///    whose completion releases the block, so block emission is strictly
-  ///    budget-bound on multi-worker pools. Single-worker pools skip the
-  ///    block wait: the decompose worker is the only one who could run
-  ///    those analyses.
-  /// The wait polls: sink flushes release budget without an engine
-  /// notification, so a pure wait could miss its wakeup.
-  void GateCharge(uint32_t level, uint64_t bytes, bool admit_analysis) {
     if (!budget_.limited()) {
       ChargeTracked(bytes);
       return;
     }
-    {
-      std::unique_lock<std::mutex> lock(admit_mu_);
-      // Waiting on outstanding blocks is sound only when blocks free at
-      // shard completion: with an observer or task sink they are held
-      // until delivery, which needs this decompose task to finish first —
-      // waiting on them here would deadlock the level against itself.
-      const bool eager_block_release = !options_.block_observer && !sink_;
-      const auto must_wait = [&] {
-        if (!budget_.WouldExceed(bytes)) return false;
-        if (analyses_in_flight_ > 0) return true;
-        return !admit_analysis && eager_block_release &&
-               pool_.num_threads() > 1 && blocks_outstanding_ > 0;
-      };
-      if (must_wait()) {
-        const int64_t begin_us = obs::NowMicros();
-        while (must_wait()) {
-          admit_cv_.wait_for(lock, std::chrono::milliseconds(2));
-        }
-        const int64_t end_us = obs::NowMicros();
-        admission_stalls_.fetch_add(1, std::memory_order_relaxed);
-        admission_stall_micros_.fetch_add(
-            static_cast<uint64_t>(end_us - begin_us),
-            std::memory_order_relaxed);
-        metrics_.RecordAdmissionStall(static_cast<uint64_t>(end_us - begin_us));
-        if (trace_ != nullptr) {
-          obs::TraceEvent e;
-          e.begin_us = begin_us;
-          e.end_us = end_us;
-          e.kind = obs::SpanKind::kAdmission;
-          e.level = level;
-          e.args[0] = bytes;
-          e.args[1] = budget_.charged();
-          e.args[2] = budget_.limit();
-          trace_->Record(e);
-        }
-      }
-      if (admit_analysis) {
-        ++analyses_in_flight_;
-      } else {
-        ++blocks_outstanding_;
-      }
-      // Charged under admit_mu_: were the charge outside, every waiter
-      // released by one budget check could charge concurrently and
-      // overshoot together — the check and the charge must be atomic.
+    std::unique_lock<std::mutex> lock(admit_mu_);
+    WaitForBudget(lock, level, bytes, nullptr);
+    ++analyses_in_flight_;
+    ChargeTracked(bytes);
+  }
+
+  /// Gate for a newly grown block's materialized charge, on the level's
+  /// decompose worker. Under a budget the worker additionally waits while
+  /// materialized blocks are outstanding, so block emission stays
+  /// budget-bound — and while it waits it runs queued analyses itself
+  /// (WaitForBudget), which is what guarantees progress when every pool
+  /// worker is inside a decompose task (DESIGN.md §11).
+  void AdmitBlock(LevelRun* lr, uint64_t bytes) {
+    if (!budget_.limited()) {
       ChargeTracked(bytes);
+      return;
+    }
+    std::unique_lock<std::mutex> lock(admit_mu_);
+    WaitForBudget(lock, lr->level, bytes, lr);
+    ++blocks_outstanding_;
+    ChargeTracked(bytes);
+  }
+
+  /// admit_mu_ held via `lock`. Waits while charging `bytes` would cross
+  /// the budget *and* something else holds gated bytes it will release:
+  /// an in-flight analysis, or — for the block gate (`decomposing` set) —
+  /// an outstanding block. A block-gate waiter releases the lock to flush
+  /// its level's coalesce batch and run queued analyses on this thread;
+  /// it sleeps only when the queue is empty, i.e. when every outstanding
+  /// block's analysis is already running elsewhere. The sleep polls: sink
+  /// flushes release budget without an engine notification, so a pure
+  /// wait could miss its wakeup. Returning with the lock held makes the
+  /// caller's check-then-charge atomic — were the charge outside, every
+  /// waiter released by one budget check could charge concurrently and
+  /// overshoot together.
+  void WaitForBudget(std::unique_lock<std::mutex>& lock, uint32_t level,
+                     uint64_t bytes, LevelRun* decomposing) {
+    const auto must_wait = [&] {
+      if (!budget_.WouldExceed(bytes)) return false;
+      return analyses_in_flight_ > 0 ||
+             (decomposing != nullptr && blocks_outstanding_ > 0);
+    };
+    if (!must_wait()) return;
+    const int64_t begin_us = obs::NowMicros();
+    while (must_wait()) {
+      if (decomposing != nullptr) {
+        lock.unlock();
+        const bool helped = HelpAnalyze(decomposing);
+        lock.lock();
+        if (helped) continue;
+      }
+      admit_cv_.wait_for(lock, std::chrono::milliseconds(2));
+    }
+    const int64_t end_us = obs::NowMicros();
+    admission_stalls_.fetch_add(1, std::memory_order_relaxed);
+    admission_stall_micros_.fetch_add(static_cast<uint64_t>(end_us - begin_us),
+                                      std::memory_order_relaxed);
+    metrics_.RecordAdmissionStall(static_cast<uint64_t>(end_us - begin_us));
+    if (trace_ != nullptr) {
+      obs::TraceEvent e;
+      e.begin_us = begin_us;
+      e.end_us = end_us;
+      e.kind = obs::SpanKind::kAdmission;
+      e.level = level;
+      e.args[0] = bytes;
+      e.args[1] = budget_.charged();
+      e.args[2] = budget_.limit();
+      trace_->Record(e);
     }
   }
 
-  /// Releases a materialized block's charge and its outstanding slot.
-  /// No-op when the block's bytes were already released (or never gated).
-  void ReleaseBlockCharge(BlockExec* exec) {
-    if (exec->block_bytes == 0) return;
+  /// Called by a decompose worker held at the block gate, without
+  /// admit_mu_: dispatches the level's pending batch (so none of its
+  /// charged blocks lacks a queued analysis), then runs the costliest
+  /// queued analysis task here. Returns false when the queue was empty.
+  bool HelpAnalyze(LevelRun* lr) {
+    FlushBatch(lr);
+    obs::ScopedCounters counters;
+    if (profile_on_) counters.Begin();
+    const bool ran = queue_.RunNext();
+    if (counters.active()) lr->decompose_helped += counters.Finish();
+    return ran;
+  }
+
+  /// Frees a finished block and releases its materialized charge and
+  /// outstanding slot.
+  void ReleaseBlock(BlockExec* exec) {
+    exec->block = decomp::Block();
     if (budget_.limited()) {
       std::lock_guard<std::mutex> lock(admit_mu_);
       MCE_DCHECK(blocks_outstanding_ > 0);
       --blocks_outstanding_;
     }
-    ReleaseTracked(exec->block_bytes);
-    exec->block_bytes = 0;
+    ReleaseTracked(exec->record.bytes);
   }
 
   /// Releases an admitted analysis's workspace charge and its in-flight
@@ -1061,7 +1038,6 @@ class PooledEngine {
 
   const Graph& original_;
   const decomp::FindMaxCliquesOptions& options_;
-  const BlockTaskSink& sink_;
   const decomp::LeveledCliqueCallback& emit_;
   /// The ReduceTask's state; set once in Run() before any pipeline task
   /// is submitted, read-only afterwards (safe unlocked from workers).
@@ -1110,27 +1086,15 @@ class PooledEngine {
   ThreadPool pool_;
 };
 
-class PooledExecutor final : public Executor {
- public:
-  explicit PooledExecutor(size_t num_threads)
-      : num_threads_(std::max<size_t>(1, num_threads)) {}
-
-  decomp::StreamingStats Run(const Graph& g,
-                             const decomp::FindMaxCliquesOptions& options,
-                             const decomp::LeveledCliqueCallback& emit) override {
-    MCE_CHECK_GE(options.max_block_size, 1u);
-    PooledEngine engine(g, options, num_threads_, sink_, emit);
-    return engine.Run();
-  }
-
- private:
-  size_t num_threads_;
-};
-
 }  // namespace
 
-std::unique_ptr<Executor> MakePooledExecutor(size_t num_threads) {
-  return std::make_unique<PooledExecutor>(num_threads);
+decomp::StreamingStats RunPooled(const Graph& g,
+                                 const decomp::FindMaxCliquesOptions& options,
+                                 size_t num_threads,
+                                 const decomp::LeveledCliqueCallback& emit) {
+  MCE_CHECK_GE(options.max_block_size, 1u);
+  PooledEngine engine(g, options, num_threads, emit);
+  return engine.Run();
 }
 
 }  // namespace mce::exec

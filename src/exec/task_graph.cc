@@ -17,20 +17,17 @@ uint64_t EstimateAnalysisBytes(const decomp::Block& block) {
       SaturatingMul(block.num_nodes(), 64));
 }
 
-BlockTaskDescriptor MakeBlockTaskDescriptor(
-    const decomp::Block& block, const decomp::BlockAnalysisResult& result,
-    double seconds, uint32_t level, uint64_t index, double estimated_cost) {
-  BlockTaskDescriptor d;
-  d.level = level;
-  d.index = index;
-  d.nodes = block.num_nodes();
-  d.edges = block.num_edges();
-  d.bytes = block.EstimatedBytes();
-  d.estimated_cost = estimated_cost;
-  d.compute_seconds = seconds;
-  d.cliques = result.num_cliques;
-  d.used = result.used;
-  return d;
+decomp::BlockTaskRecord MakeBlockTaskRecord(const decomp::Block& block,
+                                            uint32_t level, uint64_t index,
+                                            double estimated_cost) {
+  decomp::BlockTaskRecord r;
+  r.level = level;
+  r.index = index;
+  r.nodes = block.num_nodes();
+  r.edges = block.num_edges();
+  r.bytes = block.EstimatedBytes();
+  r.estimated_cost = estimated_cost;
+  return r;
 }
 
 decomp::BlocksOptions BlocksOptionsFor(
@@ -206,16 +203,17 @@ void CostOrderedQueue::Push(double cost, std::function<void()> fn) {
   std::push_heap(heap_.begin(), heap_.end());
 }
 
-void CostOrderedQueue::RunNext() {
+bool CostOrderedQueue::RunNext() {
   std::function<void()> fn;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (heap_.empty()) return;
+    if (heap_.empty()) return false;
     std::pop_heap(heap_.begin(), heap_.end());
     fn = std::move(heap_.back().fn);
     heap_.pop_back();
   }
   fn();
+  return true;
 }
 
 size_t CostOrderedQueue::Size() const {
@@ -273,21 +271,19 @@ SpillMetrics RunMetrics::SpillInstruments() const {
   return metrics;
 }
 
-void RunMetrics::RecordBlock(const decomp::Block& block,
-                             const decomp::BlockAnalysisResult& result,
-                             double seconds) {
+void RunMetrics::RecordBlock(const decomp::BlockTaskRecord& block) {
   if (registry_ == nullptr) return;
   blocks_->Increment();
-  block_cliques_->Add(result.num_cliques);
-  const double n = static_cast<double>(block.num_nodes());
+  block_cliques_->Add(block.cliques);
+  const double n = static_cast<double>(block.nodes);
   block_nodes_->Observe(n);
   if (n >= 2) {
-    block_density_->Observe(2.0 * static_cast<double>(block.num_edges()) /
+    block_density_->Observe(2.0 * static_cast<double>(block.edges) /
                             (n * (n - 1.0)));
   }
-  if (result.num_cliques > 0) {
-    block_ns_per_clique_->Observe(
-        seconds * 1e9 / static_cast<double>(result.num_cliques));
+  if (block.cliques > 0) {
+    block_ns_per_clique_->Observe(block.seconds * 1e9 /
+                                  static_cast<double>(block.cliques));
   }
 }
 

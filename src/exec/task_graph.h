@@ -19,9 +19,9 @@
 //   BlockTask(h, i)    <- block i's emission by DecomposeTask(h).
 //   FilterTask(h, *)   <- all BlockTask(h, *) (the chunk partition needs
 //     the full clique count).
-//   Delivery(h)        <- FilterTask(h, *) and Delivery(h-1): cliques,
-//     observer records, and BlockTask descriptors surface on the calling
-//     thread, in block order, levels in order (DESIGN.md §7).
+//   Delivery(h)        <- FilterTask(h, *) and Delivery(h-1): cliques and
+//     block observer records surface on the calling thread, in block
+//     order, levels in order (DESIGN.md §7).
 //
 // This header holds the stage payloads and the pure helpers every executor
 // shares; the executors themselves live behind exec/executor.h.
@@ -52,32 +52,14 @@ namespace mce::exec {
 
 class RunMetrics;
 
-/// Shipping-ready description of one executed BlockTask. This is what the
-/// simulated-cluster executor schedules — real task descriptors, not an
-/// after-the-fact observer replay.
-struct BlockTaskDescriptor {
-  uint32_t level = 0;
-  /// Block index within its level (emission order).
-  uint64_t index = 0;
-  uint64_t nodes = 0;
-  uint64_t edges = 0;
-  /// Estimated shipping size of the block.
-  uint64_t bytes = 0;
-  /// Pre-execution cost estimate available to a scheduler — the
-  /// decision::EstimateBlockCost score every executor computes at block
-  /// emission (the same number that drives cost-guided dispatch and
-  /// splitting).
-  double estimated_cost = 0;
-  /// Measured analysis wall time.
-  double compute_seconds = 0;
-  uint64_t cliques = 0;
-  /// The data-structure/algorithm combination that actually ran.
-  MceOptions used;
-};
-
-BlockTaskDescriptor MakeBlockTaskDescriptor(
-    const decomp::Block& block, const decomp::BlockAnalysisResult& result,
-    double seconds, uint32_t level, uint64_t index, double estimated_cost);
+/// The one construction site of a block's BlockTaskRecord. Executors call
+/// it at block emission, while the block is materialized, and fill in
+/// `cliques`, `seconds` and `used` once the block's analysis finishes; the
+/// record outlives the block, which is freed as soon as its last shard
+/// completes.
+decomp::BlockTaskRecord MakeBlockTaskRecord(const decomp::Block& block,
+                                            uint32_t level, uint64_t index,
+                                            double estimated_cost);
 
 /// Derives the Algorithm-3 options of a DecomposeTask.
 decomp::BlocksOptions BlocksOptionsFor(
@@ -197,11 +179,11 @@ class CostOrderedQueue {
   /// Enqueues `fn` with predicted cost `cost`.
   void Push(double cost, std::function<void()> fn);
 
-  /// Pops and runs the highest-cost queued task; no-op when empty. Callers
-  /// submit exactly one pool thunk per Push, so a non-empty pop is
-  /// guaranteed under that discipline, but RunNext tolerates spurious
-  /// calls.
-  void RunNext();
+  /// Pops and runs the highest-cost queued task; returns false (and does
+  /// nothing) when the queue is empty. Callers submit exactly one pool
+  /// thunk per Push, but a thread blocked on the memory budget may also
+  /// run queued tasks itself, so a thunk can find the queue drained.
+  bool RunNext();
 
   size_t Size() const;
 
@@ -234,8 +216,7 @@ class RunMetrics {
 
   /// One analyzed block: counts it, its cliques, and observes the block
   /// size / edge-density / ns-per-clique histograms.
-  void RecordBlock(const decomp::Block& block,
-                   const decomp::BlockAnalysisResult& result, double seconds);
+  void RecordBlock(const decomp::BlockTaskRecord& block);
   /// One BlockTask split into `shards` kernel-range shards (shards >= 2):
   /// bumps exec.blocks_split by one and exec.block_shards by `shards`.
   void RecordSplit(uint64_t shards);

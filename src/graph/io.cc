@@ -253,8 +253,10 @@ Status WriteCsrBinary(const Graph& g, const std::string& path) {
 }
 
 Result<Graph> ReadCsrBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IoError("cannot open " + path);
+  const uint64_t file_len = static_cast<uint64_t>(in.tellg());
+  in.seekg(0);
   uint64_t magic = 0, n = 0, m = 0, reserved = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(uint64_t));
   in.read(reinterpret_cast<char*>(&n), sizeof(uint64_t));
@@ -266,27 +268,20 @@ Result<Graph> ReadCsrBinary(const std::string& path) {
   if (n > kInvalidNode) {
     return Status::OutOfRange(path + ": node count exceeds 32-bit range");
   }
+  // The size check bounds both allocations below by the file itself, so a
+  // corrupt header cannot request more memory than the file holds.
+  if (file_len != CsrFileBytes(n, m)) {
+    return Status::IoError(path + ": file size " + std::to_string(file_len) +
+                           " does not match header");
+  }
   std::vector<uint64_t> offsets(n + 1);
   in.read(reinterpret_cast<char*>(offsets.data()),
           static_cast<std::streamsize>(offsets.size() * sizeof(uint64_t)));
-  if (!in) return Status::IoError(path + ": truncated offset section");
-  if (offsets.front() != 0 || offsets.back() != 2 * m) {
-    return Status::InvalidArgument(path + ": inconsistent CSR offsets");
-  }
-  for (uint64_t v = 0; v < n; ++v) {
-    if (offsets[v] > offsets[v + 1]) {
-      return Status::InvalidArgument(path + ": non-monotone CSR offsets");
-    }
-  }
   std::vector<NodeId> adjacency(2 * m);
   in.read(reinterpret_cast<char*>(adjacency.data()),
           static_cast<std::streamsize>(adjacency.size() * sizeof(NodeId)));
-  if (!in) return Status::IoError(path + ": truncated adjacency section");
-  for (NodeId v : adjacency) {
-    if (v >= n) {
-      return Status::InvalidArgument(path + ": neighbor id out of range");
-    }
-  }
+  if (!in) return Status::IoError("read error on " + path);
+  MCE_RETURN_NOT_OK(ValidateCsr(path, offsets, adjacency));
   return Graph::FromSortedCsr(std::move(offsets), std::move(adjacency));
 }
 

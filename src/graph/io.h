@@ -73,8 +73,10 @@ Result<Graph> ReadBinary(const std::string& path);
 /// larger than RAM without heap-materializing the CSR.
 Status WriteCsrBinary(const Graph& g, const std::string& path);
 
-/// Reads an MCECSR02 file into an owned (heap) graph. Revalidates per-row
-/// invariants in debug builds via Graph::FromSortedCsr.
+/// Reads an MCECSR02 file into an owned (heap) graph, after the same size
+/// and structure checks as MmapCsrStorage::Open (CsrFileBytes,
+/// ValidateCsr in graph/storage.h). Revalidates per-row invariants in
+/// debug builds via Graph::FromSortedCsr.
 Result<Graph> ReadCsrBinary(const std::string& path);
 
 /// Opens an MCECSR02 file as a zero-copy mmap-backed graph. The returned

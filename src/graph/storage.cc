@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
 namespace mce {
 namespace {
@@ -60,9 +61,7 @@ Result<std::shared_ptr<const GraphStorage>> MmapCsrStorage::Open(
     return Status::OutOfRange(path + ": node count exceeds NodeId range");
   }
   const uint64_t n = header.num_nodes;
-  const uint64_t entries = 2 * header.num_edges;
-  const uint64_t expected =
-      sizeof(CsrHeader) + (n + 1) * sizeof(uint64_t) + entries * sizeof(NodeId);
+  const uint64_t expected = CsrFileBytes(n, header.num_edges);
   if (file_len != expected) {
     return Status::IoError(path + ": file size " + std::to_string(file_len) +
                            " does not match header (expected " +
@@ -72,12 +71,37 @@ Result<std::shared_ptr<const GraphStorage>> MmapCsrStorage::Open(
       reinterpret_cast<const uint64_t*>(static_cast<const char*>(map) +
                                         sizeof(CsrHeader));
   const auto* adjacency = reinterpret_cast<const NodeId*>(offsets + (n + 1));
-  if (offsets[0] != 0 || offsets[n] != entries) {
+  storage->offsets_ = {offsets, offsets + n + 1};
+  storage->adjacency_ = {adjacency, adjacency + 2 * header.num_edges};
+  MCE_RETURN_NOT_OK(ValidateCsr(path, storage->offsets_, storage->adjacency_));
+  return std::shared_ptr<const GraphStorage>(std::move(storage));
+}
+
+uint64_t CsrFileBytes(uint64_t n, uint64_t m) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  if (n >= kMax / sizeof(uint64_t) - 1) return kMax;
+  const uint64_t fixed = sizeof(CsrHeader) + (n + 1) * sizeof(uint64_t);
+  if (m > (kMax - fixed) / (2 * sizeof(NodeId))) return kMax;
+  return fixed + m * 2 * sizeof(NodeId);
+}
+
+Status ValidateCsr(const std::string& path, std::span<const uint64_t> offsets,
+                   std::span<const NodeId> adjacency) {
+  const uint64_t n = offsets.size() - 1;
+  if (offsets.front() != 0 || offsets.back() != adjacency.size()) {
     return Status::InvalidArgument(path + ": inconsistent CSR offsets");
   }
-  storage->offsets_ = {offsets, offsets + n + 1};
-  storage->adjacency_ = {adjacency, adjacency + entries};
-  return std::shared_ptr<const GraphStorage>(std::move(storage));
+  for (uint64_t v = 0; v < n; ++v) {
+    if (offsets[v] > offsets[v + 1]) {
+      return Status::InvalidArgument(path + ": non-monotone CSR offsets");
+    }
+  }
+  for (NodeId v : adjacency) {
+    if (v >= n) {
+      return Status::InvalidArgument(path + ": neighbor id out of range");
+    }
+  }
+  return Status::OK();
 }
 
 MmapCsrStorage::~MmapCsrStorage() {

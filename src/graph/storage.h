@@ -29,11 +29,12 @@
 //
 // Both arrays start naturally aligned (32 is a multiple of 8, and
 // 32 + 8(n+1) is a multiple of 4), so the mapped file is directly usable
-// as the two spans with no translation. Open() validates the header, the
-// file size, and the offset endpoints; per-row invariants (sortedness,
-// symmetry, no self-loops) are trusted from the writer — use
-// ReadCsrBinary() from graph/io.h for a heap copy that revalidates them in
-// debug builds.
+// as the two spans with no translation. Both loaders — Open() here and
+// ReadCsrBinary() in graph/io.h — validate the header, the file size
+// (CsrFileBytes) and the CSR structure (ValidateCsr: monotone offsets,
+// neighbor ids in range), so a file one accepts the other accepts too.
+// Per-row invariants (sortedness, symmetry, no self-loops) are trusted
+// from the writer; ReadCsrBinary revalidates them in debug builds.
 
 #ifndef MCE_GRAPH_STORAGE_H_
 #define MCE_GRAPH_STORAGE_H_
@@ -95,10 +96,10 @@ class OwnedCsrStorage final : public GraphStorage {
 /// the storage object; the file descriptor is closed right after mmap.
 class MmapCsrStorage final : public GraphStorage {
  public:
-  /// Maps `path` and validates magic, version, file size, and offset
-  /// endpoints. Errors: IoError (open/stat/mmap failure, short file),
-  /// InvalidArgument (bad magic, inconsistent header), OutOfRange
-  /// (node count exceeds NodeId).
+  /// Maps `path` and validates magic, file size, and the CSR structure
+  /// (ValidateCsr). Errors: IoError (open/stat/mmap failure, size not
+  /// matching the header), InvalidArgument (bad magic, corrupt offsets or
+  /// neighbor ids), OutOfRange (node count exceeds NodeId).
   static Result<std::shared_ptr<const GraphStorage>> Open(
       const std::string& path);
 
@@ -121,6 +122,17 @@ class MmapCsrStorage final : public GraphStorage {
 /// Magic for the MCECSR02 CSR format ("MCECSR02" as a big-endian number,
 /// mirroring kBinaryMagic in graph/io.cc for the edge-pair format).
 inline constexpr uint64_t kCsrBinaryMagic = 0x4d43454353523032ULL;
+
+/// Exact size of an MCECSR02 file with `n` nodes and `m` undirected edges;
+/// saturates at UINT64_MAX instead of wrapping on a corrupt header.
+uint64_t CsrFileBytes(uint64_t n, uint64_t m);
+
+/// The structural rules every MCECSR02 loader enforces before trusting the
+/// arrays: offsets[0] == 0, offsets[n] == adjacency.size(), offsets never
+/// decrease, and every neighbor id is < n (n = offsets.size() - 1). One
+/// pass over each array. Errors are InvalidArgument, prefixed with `path`.
+Status ValidateCsr(const std::string& path, std::span<const uint64_t> offsets,
+                   std::span<const NodeId> adjacency);
 
 /// The shared zero-node storage every default-constructed or moved-from
 /// Graph points at (offsets = {0}). Leaked singleton, safe at any point of

@@ -8,7 +8,7 @@
 // even on unlimited runs.
 //
 // A limit of 0 means "track only, never constrain". With a limit set,
-// `WouldExceed()` answers the PooledExecutor's admission question: would
+// `WouldExceed()` answers the pooled engine's admission question: would
 // starting work that pins `bytes` more push the tracked total past the
 // budget? The budget itself never blocks — admission policy (including the
 // guarantee that at least one analysis always proceeds) lives in the

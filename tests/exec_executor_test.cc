@@ -1,6 +1,6 @@
 // Cross-executor contract tests: every engine must produce byte-identical
-// emission (cliques, order, observer stream, block-task descriptors) —
-// DESIGN.md §7.
+// emission (cliques, order, observer stream) — DESIGN.md §7 — and the
+// simulated cluster, fed by that observer stream, must not perturb it.
 
 #include "exec/executor.h"
 
@@ -13,8 +13,9 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/cluster_executor.h"
+#include "dist/distributed_mce.h"
 #include "exec/task_graph.h"
+#include "obs/trace.h"
 #include "util/thread_pool.h"
 #include "gen/generators.h"
 #include "gen/social.h"
@@ -108,6 +109,36 @@ TEST(ExecutorIdentityTest, PooledMatchesSerialAcrossCorpusAndThreads) {
   }
 }
 
+// The storage x algorithm axis (options.fixed): per-worker workspace reuse
+// may not perturb emission order or content for any backend combination.
+TEST(ExecutorIdentityTest, AllCombosMatchSerialAcrossThreads) {
+  std::vector<Graph> graphs = Corpus();
+  Rng rng(37);
+  graphs.push_back(gen::BarabasiAlbert(90, 3, &rng));
+  for (Algorithm algorithm :
+       {Algorithm::kBKPivot, Algorithm::kTomita, Algorithm::kXPivot}) {
+    for (StorageKind storage :
+         {StorageKind::kAdjacencyList, StorageKind::kMatrix,
+          StorageKind::kBitset}) {
+      for (size_t gi = 0; gi < graphs.size(); ++gi) {
+        decomp::FindMaxCliquesOptions options;
+        options.max_block_size = 18;
+        options.fixed = {algorithm, storage};
+        const Captured serial =
+            RunWith(graphs[gi], options, decomp::ExecutorKind::kSerial, 1);
+        for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+          SCOPED_TRACE(testing::Message()
+                       << ComboName(storage, algorithm) << " graph " << gi
+                       << " threads " << threads);
+          ExpectIdenticalRuns(RunWith(graphs[gi], options,
+                                      decomp::ExecutorKind::kPooled, threads),
+                              serial);
+        }
+      }
+    }
+  }
+}
+
 TEST(ExecutorIdentityTest, SocialStandInMatchesAcrossExecutors) {
   const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
   decomp::FindMaxCliquesOptions options;
@@ -138,22 +169,15 @@ TEST(ExecutorIdentityTest, BatchResultsMatchAcrossExecutors) {
   mce::test::ExpectMatchesNaive(g, serial.cliques);
 }
 
-TEST(ExecutorSinkTest, DescriptorStreamIsIdenticalAcrossExecutors) {
+TEST(ExecutorObserverTest, RecordStreamIsIdenticalAcrossExecutors) {
   Rng rng(105);
   Graph g = gen::BarabasiAlbert(70, 3, &rng);
   decomp::FindMaxCliquesOptions options;
   options.max_block_size = 12;
-  auto run = [&](Executor& executor) {
-    std::vector<BlockTaskDescriptor> descriptors;
-    executor.set_block_task_sink(
-        [&](const BlockTaskDescriptor& d) { descriptors.push_back(d); });
-    executor.Run(g, options, [](std::span<const NodeId>, uint32_t) {});
-    return descriptors;
-  };
-  std::unique_ptr<Executor> serial = MakeSerialExecutor();
-  std::unique_ptr<Executor> pooled = MakePooledExecutor(4);
-  const std::vector<BlockTaskDescriptor> a = run(*serial);
-  const std::vector<BlockTaskDescriptor> b = run(*pooled);
+  const Captured serial = RunWith(g, options, decomp::ExecutorKind::kSerial, 1);
+  const Captured pooled = RunWith(g, options, decomp::ExecutorKind::kPooled, 4);
+  const std::vector<decomp::BlockTaskRecord>& a = serial.records;
+  const std::vector<decomp::BlockTaskRecord>& b = pooled.records;
   ASSERT_FALSE(a.empty());
   ASSERT_EQ(a.size(), b.size());
   uint64_t expected_index = 0;
@@ -165,8 +189,10 @@ TEST(ExecutorSinkTest, DescriptorStreamIsIdenticalAcrossExecutors) {
     EXPECT_EQ(a[i].edges, b[i].edges);
     EXPECT_EQ(a[i].bytes, b[i].bytes);
     EXPECT_EQ(a[i].cliques, b[i].cliques);
+    // Both engines score the block with the same cost model.
     EXPECT_GT(a[i].estimated_cost, 0.0);
-    // Descriptors arrive in block order within each level, levels in order.
+    EXPECT_DOUBLE_EQ(a[i].estimated_cost, b[i].estimated_cost);
+    // Records arrive in block order within each level, levels in order.
     if (a[i].level != level) {
       EXPECT_EQ(a[i].level, level + 1);
       level = a[i].level;
@@ -270,94 +296,127 @@ TEST(ExecutorFallbackTest, FallbackIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SimulatedClusterExecutorTest, MatchesInnerAndSchedulesRealTaskStream) {
+/// The batch result of a run in Captured form: cliques in sorted order
+/// with their origin levels, the level stats, and the observer records.
+Captured FromResult(const decomp::FindMaxCliquesResult& result,
+                    std::vector<decomp::BlockTaskRecord> records) {
+  Captured out;
+  for (size_t i = 0; i < result.cliques.size(); ++i) {
+    out.emissions.emplace_back(result.cliques.cliques()[i],
+                               result.origin_level[i]);
+  }
+  out.records = std::move(records);
+  out.stats.levels = result.levels;
+  out.stats.used_fallback = result.used_fallback;
+  out.stats.cliques_emitted = result.cliques.size();
+  return out;
+}
+
+TEST(DistributedMceObserverTest, MatchesPlainEngineAndSchedulesRecordStream) {
   Rng rng(111);
   Graph g = gen::BarabasiAlbert(80, 3, &rng);
   decomp::FindMaxCliquesOptions options;
   options.max_block_size = 12;
+  options.executor = decomp::ExecutorKind::kSerial;
 
-  Captured inner_run;
-  options.block_observer = [&inner_run](const decomp::BlockTaskRecord& r) {
-    inner_run.records.push_back(r);
+  std::vector<decomp::BlockTaskRecord> plain_records;
+  options.block_observer = [&plain_records](const decomp::BlockTaskRecord& r) {
+    plain_records.push_back(r);
   };
-  std::unique_ptr<Executor> reference = MakeSerialExecutor();
-  inner_run.stats = reference->Run(
-      g, options, [&inner_run](std::span<const NodeId> c, uint32_t level) {
-        inner_run.emissions.emplace_back(Clique(c.begin(), c.end()), level);
-      });
+  const decomp::FindMaxCliquesResult plain_result =
+      decomp::FindMaxCliques(g, options);
+  const Captured plain = FromResult(plain_result, std::move(plain_records));
 
+  std::vector<decomp::BlockTaskRecord> user_records;
+  options.block_observer = [&user_records](const decomp::BlockTaskRecord& r) {
+    user_records.push_back(r);
+  };
+  obs::TraceRecorder recorder;
+  options.trace = &recorder;
   dist::ClusterConfig config;
   config.num_workers = 4;
-  SimulatedClusterExecutor cluster(config, MakeSerialExecutor());
-  std::vector<BlockTaskDescriptor> user_sink;
-  cluster.set_block_task_sink(
-      [&user_sink](const BlockTaskDescriptor& d) { user_sink.push_back(d); });
-  Captured cluster_run;
-  options.block_observer = [&cluster_run](const decomp::BlockTaskRecord& r) {
-    cluster_run.records.push_back(r);
-  };
-  cluster_run.stats = cluster.Run(
-      g, options, [&cluster_run](std::span<const NodeId> c, uint32_t level) {
-        cluster_run.emissions.emplace_back(Clique(c.begin(), c.end()), level);
-      });
+  const dist::DistributedResult dist =
+      dist::RunDistributedMce(g, options, config);
 
-  // The wrapper must not perturb the algorithmic output at all.
-  ExpectIdenticalRuns(cluster_run, inner_run);
-  // The user's sink still sees every descriptor even though the wrapper
-  // installed its own collector on the inner executor.
-  EXPECT_EQ(user_sink.size(), cluster_run.records.size());
+  // The simulation must not perturb the algorithmic output at all, and the
+  // caller's observer still sees every record even though the simulator
+  // chains its own collector in front of it.
+  ExpectIdenticalRuns(FromResult(dist.algorithm, std::move(user_records)),
+                      plain);
 
   // One simulation per level, scheduling exactly the level's block tasks.
-  ASSERT_EQ(cluster.levels().size(), cluster_run.stats.levels.size());
-  for (size_t l = 0; l < cluster.levels().size(); ++l) {
-    const LevelSimulation& sim = cluster.levels()[l];
+  ASSERT_EQ(dist.levels.size(), dist.algorithm.levels.size());
+  uint64_t total_blocks = 0;
+  for (size_t l = 0; l < dist.levels.size(); ++l) {
+    const dist::DistributedLevel& sim = dist.levels[l];
     uint64_t tasks = 0;
     for (const dist::WorkerTimeline& w : sim.simulation.workers) {
       tasks += w.tasks;
     }
-    EXPECT_EQ(tasks, cluster_run.stats.levels[l].blocks);
+    EXPECT_EQ(tasks, dist.algorithm.levels[l].blocks);
     EXPECT_GE(sim.decompose_seconds, 0.0);
     EXPECT_EQ(sim.simulation.assignment.size(),
-              cluster_run.stats.levels[l].blocks);
+              dist.algorithm.levels[l].blocks);
+    total_blocks += dist.algorithm.levels[l].blocks;
   }
+  ASSERT_GT(total_blocks, 0u);
+
+  // The placement is replayed as one kSimBlock span per block task, on the
+  // synthetic "mce cluster sim" lanes.
+  uint64_t sim_spans = 0;
+  for (const obs::TraceEvent& e : recorder.Events()) {
+    if (e.kind != obs::SpanKind::kSimBlock) continue;
+    ++sim_spans;
+    EXPECT_EQ(e.lane_pid, 1);
+    EXPECT_GE(e.lane_tid, 0);
+    EXPECT_GE(e.end_us, e.begin_us);
+  }
+  EXPECT_EQ(sim_spans, total_blocks);
 }
 
-TEST(SimulatedClusterExecutorTest, BlockRecordsMatchSerialAndPooledInners) {
-  // The observer coverage contract: wrapping either engine in the cluster
-  // simulator must leave the BlockTaskRecord stream (and the emission)
+TEST(DistributedMceObserverTest, BlockRecordsMatchAcrossSerialAndPooled) {
+  // The observer coverage contract: simulating the cluster over either
+  // engine must leave the BlockTaskRecord stream (and the result)
   // byte-identical to a plain serial run on the same input.
   const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.01));
   decomp::FindMaxCliquesOptions options;
   options.max_block_size = 25;
+  options.executor = decomp::ExecutorKind::kSerial;
+  std::vector<decomp::BlockTaskRecord> plain_records;
+  options.block_observer = [&plain_records](const decomp::BlockTaskRecord& r) {
+    plain_records.push_back(r);
+  };
+  const decomp::FindMaxCliquesResult plain_result =
+      decomp::FindMaxCliques(g, options);
   const Captured plain_serial =
-      RunWith(g, options, decomp::ExecutorKind::kSerial, 1);
+      FromResult(plain_result, std::move(plain_records));
   EXPECT_GT(plain_serial.records.size(), 0u);
 
   dist::ClusterConfig config;
   config.num_workers = 3;
-  auto run_wrapped = [&](std::unique_ptr<Executor> inner) {
-    SimulatedClusterExecutor cluster(config, std::move(inner));
-    Captured out;
-    decomp::FindMaxCliquesOptions wrapped = options;
-    wrapped.block_observer = [&out](const decomp::BlockTaskRecord& r) {
-      out.records.push_back(r);
+  auto run_simulated = [&](decomp::ExecutorKind kind, uint32_t threads) {
+    decomp::FindMaxCliquesOptions simulated = options;
+    simulated.executor = kind;
+    simulated.num_threads = threads;
+    std::vector<decomp::BlockTaskRecord> records;
+    simulated.block_observer = [&records](const decomp::BlockTaskRecord& r) {
+      records.push_back(r);
     };
-    out.stats = cluster.Run(
-        g, wrapped, [&out](std::span<const NodeId> c, uint32_t level) {
-          out.emissions.emplace_back(Clique(c.begin(), c.end()), level);
-        });
-    return out;
+    const dist::DistributedResult dist =
+        dist::RunDistributedMce(g, simulated, config);
+    return FromResult(dist.algorithm, std::move(records));
   };
 
-  ExpectIdenticalRuns(run_wrapped(MakeSerialExecutor()), plain_serial);
-  for (size_t threads : {2u, 4u}) {
-    SCOPED_TRACE(testing::Message() << "pooled inner, threads " << threads);
-    ExpectIdenticalRuns(run_wrapped(MakePooledExecutor(threads)),
+  ExpectIdenticalRuns(run_simulated(decomp::ExecutorKind::kSerial, 1),
+                      plain_serial);
+  for (uint32_t threads : {2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "pooled engine, threads " << threads);
+    ExpectIdenticalRuns(run_simulated(decomp::ExecutorKind::kPooled, threads),
                         plain_serial);
   }
 }
 
-TEST(MakeExecutorTest, ResolveThreadCountHonorsExplicitRequests) {
+TEST(ResolveThreadCountTest, HonorsExplicitRequests) {
   EXPECT_EQ(ResolveThreadCount(1), 1u);
   EXPECT_EQ(ResolveThreadCount(7), 7u);
   EXPECT_GE(ResolveThreadCount(0), 1u);

@@ -208,6 +208,60 @@ TEST(MemoryBudgetTest, SerialRunReportsPeakTrackedBytes) {
   EXPECT_LE(run.stats.memory.peak_tracked_bytes, options.memory_budget_bytes);
 }
 
+// Regression: cross-level pipelining can put every pool worker inside a
+// DecomposeTask, each held at the block gate on blocks whose analyses are
+// still queued behind them. The twitter3 stand-in at scale 0.12 (m = 19,
+// nine levels ending in the m-core fallback) under 60% of its unbudgeted
+// pooled@4 tracked peak used to hang there, on the heap and over mmap;
+// held decompose workers now run the queued analyses themselves. The run
+// sets no block observer, so every block passes the block gate.
+TEST(MemoryBudgetTest, BudgetedPipelinedLevelsMakeProgress) {
+  const Graph g = gen::GenerateSocialNetwork(gen::Twitter3Config(0.12));
+  ASSERT_EQ(g.num_nodes(), 3600u);
+  ASSERT_EQ(g.num_edges(), 74851u);
+  decomp::FindMaxCliquesOptions options;
+  options.max_block_size = 19;
+  options.executor = decomp::ExecutorKind::kPooled;
+  options.num_threads = 4;
+  const decomp::FindMaxCliquesResult unbudgeted =
+      decomp::FindMaxCliques(g, options);
+  ASSERT_EQ(unbudgeted.cliques.size(), 75500u);
+  ASSERT_TRUE(unbudgeted.used_fallback);
+
+  const std::string path = testing::TempDir() + "/budget_twitter3.mcsr";
+  ASSERT_TRUE(WriteCsrBinary(g, path).ok());
+  Result<Graph> mapped = OpenMmapGraph(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  const Graph& mapped_graph = *mapped;
+
+  options.memory_budget_bytes = 3670120;  // 60% of 6116868
+  options.spill_dir = testing::TempDir();
+  for (const Graph* input : {&g, &mapped_graph}) {
+    SCOPED_TRACE(input->storage().kind());
+    const decomp::FindMaxCliquesResult budgeted =
+        decomp::FindMaxCliques(*input, options);
+    EXPECT_EQ(budgeted.cliques.cliques(), unbudgeted.cliques.cliques());
+    EXPECT_EQ(budgeted.origin_level, unbudgeted.origin_level);
+    EXPECT_EQ(budgeted.memory.budget_bytes, 3670120u);
+  }
+  std::remove(path.c_str());
+}
+
+// A one-worker pool has no other thread to run analyses: its decompose
+// task, held at the block gate, runs its own level's queued analyses.
+TEST(MemoryBudgetTest, SingleWorkerBlockGateMakesProgress) {
+  const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
+  decomp::FindMaxCliquesOptions options;
+  options.max_block_size = 40;
+  const Captured baseline =
+      RunWith(g, options, decomp::ExecutorKind::kSerial, 1);
+  options.memory_budget_bytes = 64ull << 10;
+  options.spill_dir = testing::TempDir();
+  const Captured tight = RunWith(g, options, decomp::ExecutorKind::kPooled, 1);
+  ExpectIdenticalEmission(tight, baseline);
+  EXPECT_GT(tight.stats.memory.admission_stalls, 0u);
+}
+
 // Trace/metrics contract (mirrors the span-math checks in exec_trace_test):
 // every spill flush is one kSpillFlush span whose byte argument sums to the
 // run's spill_bytes, every admission stall is one kAdmission span, and the

@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/generators.h"
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "graph/storage.h"
 #include "graph/subgraph.h"
 #include "test_util.h"
+#include "util/random.h"
 #include "util/status.h"
 
 namespace mce {
@@ -83,6 +85,63 @@ TEST(GraphStorageTest, MmapRejectsTruncatedFile) {
   out.close();
   EXPECT_FALSE(OpenMmapGraph(path).ok());
   EXPECT_FALSE(ReadCsrBinary(path).ok());
+  std::remove(path.c_str());
+}
+
+/// Writes `g` as MCECSR02 to `path`, then overwrites `size` bytes at file
+/// offset `at` with `bytes`.
+void WritePatchedCsr(const Graph& g, const std::string& path, uint64_t at,
+                     const void* bytes, size_t size) {
+  ASSERT_TRUE(WriteCsrBinary(g, path).ok());
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(at));
+  f.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(size));
+}
+
+// Regression: the mmap loader used to check only the offset endpoints, so
+// a neighbor id past n ran (and silently lost cliques) under --mmap-graph
+// while the heap loader rejected the file. Both share ValidateCsr now.
+TEST(GraphStorageTest, BothLoadersRejectOutOfRangeNeighbor) {
+  Rng rng(5);
+  const Graph g = gen::BarabasiAlbert(400, 3, &rng);
+  const std::string path = TempPath("bad_neighbor.mcsr");
+  const NodeId bad = 0x7ffffff0;
+  const uint64_t adjacency_at = 32 + (uint64_t{g.num_nodes()} + 1) * 8;
+  WritePatchedCsr(g, path, adjacency_at + 10 * sizeof(NodeId), &bad,
+                  sizeof(bad));
+  Result<Graph> heap = ReadCsrBinary(path);
+  ASSERT_FALSE(heap.ok());
+  EXPECT_EQ(heap.status().code(), StatusCode::kInvalidArgument);
+  Result<Graph> mapped = OpenMmapGraph(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(GraphStorageTest, BothLoadersRejectNonMonotoneOffsets) {
+  Rng rng(6);
+  const Graph g = gen::BarabasiAlbert(400, 3, &rng);
+  const std::string path = TempPath("bad_offsets.mcsr");
+  // offsets[1] jumps past offsets[2]; the endpoints stay intact.
+  const uint64_t bad = g.storage().offsets()[3] + 1;
+  WritePatchedCsr(g, path, 32 + 8, &bad, sizeof(bad));
+  Result<Graph> heap = ReadCsrBinary(path);
+  ASSERT_FALSE(heap.ok());
+  EXPECT_EQ(heap.status().code(), StatusCode::kInvalidArgument);
+  Result<Graph> mapped = OpenMmapGraph(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+// A header claiming far more edges than the file holds is rejected by the
+// size check before either loader sizes anything from it.
+TEST(GraphStorageTest, BothLoadersRejectOversizedEdgeCount) {
+  const std::string path = TempPath("huge_m.mcsr");
+  const uint64_t huge = uint64_t{1} << 62;
+  WritePatchedCsr(test::PathGraph(4), path, 16, &huge, sizeof(huge));
+  EXPECT_EQ(ReadCsrBinary(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(OpenMmapGraph(path).status().code(), StatusCode::kIoError);
   std::remove(path.c_str());
 }
 
