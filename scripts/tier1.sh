@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then a ThreadSanitizer
 # pass over the concurrency-bearing subset (the thread pool, the parallel
-# decomposition pipeline, and the task-graph execution engines).
+# decomposition pipeline, and the task-graph execution engines), and
+# AddressSanitizer and UndefinedBehaviorSanitizer passes over the graph,
+# kernel and decomposition subsets.
 #
 # Usage: scripts/tier1.sh [build-dir]
 #   MCE_SKIP_TSAN=1   skip the TSan leg (e.g. when the toolchain lacks
 #                     TSan runtime support)
 #   MCE_SKIP_ASAN=1   skip the ASan leg
+#   MCE_SKIP_UBSAN=1  skip the UBSan leg
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -87,6 +90,30 @@ else
     exit 1
   fi
   echo "budgeted run matched: $budgeted_cliques cliques"
+fi
+
+if [[ "${MCE_SKIP_UBSAN:-0}" == "1" ]]; then
+  echo "=== tier-1: UBSan leg skipped (MCE_SKIP_UBSAN=1) ==="
+else
+  # UBSan leg: the graph, decomposition, engine and allocation-guard
+  # subset under UndefinedBehaviorSanitizer. Dense id arrays with in-band
+  # sentinels, galloping cursors and CSR offset arithmetic are where a
+  # signed overflow, a bad shift or an out-of-range pointer would hide;
+  # halt_on_error turns any report into a failed test.
+  ubsan_build="$build-ubsan"
+  echo "=== tier-1: UBSan build ($ubsan_build) ==="
+  cmake -B "$ubsan_build" -S "$repo" \
+    -DMCE_SANITIZE=undefined \
+    -DMCE_BUILD_BENCH=OFF \
+    -DMCE_BUILD_EXAMPLES=OFF
+  cmake --build "$ubsan_build" -j "$(nproc)" \
+    --target graph_test decomp_test exec_test mce_alloc_test
+
+  echo "=== tier-1: UBSan run (graph_test, decomp_test, exec_test," \
+       "mce_alloc_test) ==="
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir "$ubsan_build" --output-on-failure -j "$(nproc)" \
+    -R '^(graph_test|decomp_test|exec_test|mce_alloc_test)$'
 fi
 
 # Trace leg: run the CLI on a small social graph with tracing on and

@@ -24,6 +24,42 @@ std::string Errno(const std::string& what) {
   return what + ": " + std::strerror(errno);
 }
 
+// ValidateCsr's scans run on every load, over every entry of the file.
+// They have no early exit: each fixed-width chunk ORs its comparison
+// results, a constant trip count the compiler vectorizes at -O2. A
+// branch-per-entry loop is at the mercy of code layout: on a 4-vCPU Xeon
+// the same machine code checked a 200k-entry adjacency in 70 us or in
+// 134 us depending on whether an unrelated change elsewhere in the
+// library moved the loop across a 64-byte boundary.
+constexpr size_t kScanChunk = 16;
+
+/// True when some offsets[i] > offsets[i + 1]. `offsets` is non-empty.
+bool AnyDescending(std::span<const uint64_t> offsets) {
+  const size_t pairs = offsets.size() - 1;
+  uint64_t bad = 0;
+  size_t i = 0;
+  for (; i + kScanChunk <= pairs; i += kScanChunk) {
+    for (size_t j = 0; j < kScanChunk; ++j) {
+      bad |= offsets[i + j] > offsets[i + j + 1];
+    }
+  }
+  for (; i < pairs; ++i) bad |= offsets[i] > offsets[i + 1];
+  return bad != 0;
+}
+
+/// True when some id is >= n.
+bool AnyAtLeast(std::span<const NodeId> ids, uint64_t n) {
+  if (n > std::numeric_limits<NodeId>::max()) return false;
+  const NodeId limit = static_cast<NodeId>(n);
+  NodeId bad = 0;
+  size_t i = 0;
+  for (; i + kScanChunk <= ids.size(); i += kScanChunk) {
+    for (size_t j = 0; j < kScanChunk; ++j) bad |= ids[i + j] >= limit;
+  }
+  for (; i < ids.size(); ++i) bad |= ids[i] >= limit;
+  return bad != 0;
+}
+
 }  // namespace
 
 Result<std::shared_ptr<const GraphStorage>> MmapCsrStorage::Open(
@@ -91,15 +127,11 @@ Status ValidateCsr(const std::string& path, std::span<const uint64_t> offsets,
   if (offsets.front() != 0 || offsets.back() != adjacency.size()) {
     return Status::InvalidArgument(path + ": inconsistent CSR offsets");
   }
-  for (uint64_t v = 0; v < n; ++v) {
-    if (offsets[v] > offsets[v + 1]) {
-      return Status::InvalidArgument(path + ": non-monotone CSR offsets");
-    }
+  if (AnyDescending(offsets)) {
+    return Status::InvalidArgument(path + ": non-monotone CSR offsets");
   }
-  for (NodeId v : adjacency) {
-    if (v >= n) {
-      return Status::InvalidArgument(path + ": neighbor id out of range");
-    }
+  if (AnyAtLeast(adjacency, n)) {
+    return Status::InvalidArgument(path + ": neighbor id out of range");
   }
   return Status::OK();
 }

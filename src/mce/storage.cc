@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/gallop.h"
+
 namespace mce {
 
 const char* ToString(Algorithm a) {
@@ -63,22 +65,6 @@ uint64_t EstimateStorageBytes(uint64_t n, uint64_t m, StorageKind storage) {
 }
 
 namespace {
-
-/// A side is "much shorter" past this ratio; galloping then beats the
-/// linear merge (O(short * log(long/short)) vs O(short + long)).
-constexpr size_t kGallopRatio = 8;
-
-/// First position in sorted [begin, end) with *pos >= key, found by
-/// exponential probing followed by binary search over the bracketed run.
-const NodeId* GallopLowerBound(const NodeId* begin, const NodeId* end,
-                               NodeId key) {
-  const size_t n = static_cast<size_t>(end - begin);
-  size_t bound = 1;
-  while (bound < n && begin[bound] < key) bound <<= 1;
-  const size_t lo = bound >> 1;
-  const size_t hi = std::min(bound + 1, n);
-  return std::lower_bound(begin + lo, begin + hi, key);
-}
 
 /// out += sorted intersection of sorted `a` and sorted `b`, galloping
 /// through whichever side is much longer.

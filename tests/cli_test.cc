@@ -207,4 +207,37 @@ TEST_F(CliTest, BadRatioFails) {
   EXPECT_NE(r.output.find("error"), std::string::npos);
 }
 
+
+TEST_F(CliTest, RejectsMalformedNumbers) {
+  // Numbers must parse in full and fit the flag's range: atoi used to turn
+  // "abc" into 0 and wrap 99999999999.
+  for (const std::string bad : {"--m abc", "--m 99999999999", "--m=",
+                                "--m 12x", "--threads -1",
+                                "--ratio 0.5x"}) {
+    CommandResult r = RunCli("enumerate --input " + *graph_path_ + " " + bad);
+    EXPECT_EQ(r.exit_code, 2) << bad << ": " << r.output;
+    EXPECT_NE(r.output.find("error"), std::string::npos) << bad;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << bad;
+  }
+}
+
+TEST_F(CliTest, RejectsUnknownFlagsAndStrayArguments) {
+  for (const std::string bad : {"--thread 4", "--json yes", "--k 3", "extra"}) {
+    CommandResult r = RunCli("enumerate --input " + *graph_path_ + " " + bad);
+    EXPECT_EQ(r.exit_code, 2) << bad << ": " << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << bad;
+  }
+  // Each subcommand has its own flag set: --m belongs to enumerate only.
+  CommandResult r = RunCli("stats --input " + *graph_path_ + " --m 5");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown flag --m"), std::string::npos) << r.output;
+}
+
+TEST_F(CliTest, AcceptsWellFormedNumbersInEveryForm) {
+  CommandResult r = RunCli("enumerate --input " + *graph_path_ +
+                           " --m=12 --threads 2 --max-block-cost 1e4 --json");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("\"total_cliques\":"), std::string::npos);
+}
+
 }  // namespace

@@ -1,6 +1,8 @@
 #include "decomp/blocks.h"
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -8,8 +10,10 @@
 
 #include "decomp/cut.h"
 #include "gen/generators.h"
+#include "gen/social.h"
 #include "gen/special.h"
 #include "mce/naive.h"
+#include "reduce/relabel.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -268,6 +272,236 @@ TEST(BlocksTest, DeterministicAcrossRuns) {
     EXPECT_EQ(b1[i].subgraph.to_parent, b2[i].subgraph.to_parent);
     EXPECT_EQ(b1[i].kernel_local, b2[i].kernel_local);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Block-identity oracle: Algorithm 3 as the hash-container loop it was first
+// written as. Test-only; BuildBlocks must reproduce it field for field.
+
+std::vector<NodeId> ReferenceOrderSeeds(const Graph& g,
+                                        const std::vector<NodeId>& feasible,
+                                        SeedPolicy policy) {
+  std::vector<NodeId> seeds = feasible;
+  switch (policy) {
+    case SeedPolicy::kLowestDegree:
+      std::stable_sort(seeds.begin(), seeds.end(), [&g](NodeId a, NodeId b) {
+        if (g.Degree(a) != g.Degree(b)) return g.Degree(a) < g.Degree(b);
+        return a < b;
+      });
+      break;
+    case SeedPolicy::kHighestDegree:
+      std::stable_sort(seeds.begin(), seeds.end(), [&g](NodeId a, NodeId b) {
+        if (g.Degree(a) != g.Degree(b)) return g.Degree(a) > g.Degree(b);
+        return a < b;
+      });
+      break;
+    case SeedPolicy::kFirstId:
+      std::sort(seeds.begin(), seeds.end());
+      break;
+  }
+  return seeds;
+}
+
+std::vector<Block> ReferenceBuildBlocks(const Graph& g,
+                                        const std::vector<NodeId>& feasible,
+                                        const BlocksOptions& options) {
+  std::vector<Block> blocks;
+  const uint32_t m = options.max_block_size;
+  std::vector<uint8_t> is_feasible(g.num_nodes(), 0);
+  for (NodeId v : feasible) is_feasible[v] = 1;
+  // Nodes already used as a kernel (of this or an earlier block).
+  std::vector<uint8_t> used_kernel(g.num_nodes(), 0);
+
+  for (NodeId seed : ReferenceOrderSeeds(g, feasible, options.seed_policy)) {
+    if (used_kernel[seed]) continue;
+
+    std::vector<NodeId> kernel;                    // K, parent ids
+    std::unordered_set<NodeId> block_nodes;        // K u N(K)
+    std::unordered_map<NodeId, uint32_t> candidate_adjacency;
+    std::unordered_set<NodeId> infeasible;
+
+    auto promote = [&](NodeId n) {
+      used_kernel[n] = 1;
+      kernel.push_back(n);
+      candidate_adjacency.erase(n);
+      block_nodes.insert(n);
+      for (NodeId w : g.Neighbors(n)) {
+        block_nodes.insert(w);
+        if (is_feasible[w] && !used_kernel[w] && !infeasible.count(w)) {
+          ++candidate_adjacency[w];
+        }
+      }
+    };
+
+    promote(seed);
+
+    for (;;) {
+      NodeId best = kInvalidNode;
+      uint32_t best_adj = 0;
+      for (const auto& [node, adj] : candidate_adjacency) {
+        if (best == kInvalidNode || adj > best_adj ||
+            (adj == best_adj && node < best)) {
+          best = node;
+          best_adj = adj;
+        }
+      }
+      if (best == kInvalidNode) break;
+      if (best_adj < options.min_adjacency) break;
+      uint64_t added = 0;
+      for (NodeId w : g.Neighbors(best)) {
+        if (!block_nodes.count(w)) ++added;
+      }
+      if (block_nodes.size() + added > m) {
+        infeasible.insert(best);
+        candidate_adjacency.erase(best);
+        continue;
+      }
+      promote(best);
+    }
+
+    std::vector<NodeId> members(block_nodes.begin(), block_nodes.end());
+    Block block;
+    block.subgraph = Induce(g, members);
+    const auto& to_parent = block.subgraph.to_parent;
+    block.roles.resize(to_parent.size());
+    std::unordered_set<NodeId> kernel_set(kernel.begin(), kernel.end());
+    for (NodeId local = 0; local < to_parent.size(); ++local) {
+      const NodeId parent = to_parent[local];
+      if (kernel_set.count(parent)) {
+        block.roles[local] = NodeRole::kKernel;
+        block.kernel_local.push_back(local);
+      } else if (used_kernel[parent]) {
+        block.roles[local] = NodeRole::kVisited;
+      } else {
+        block.roles[local] = NodeRole::kBorder;
+      }
+    }
+    if (options.degeneracy_relabel) reduce::DegeneracyRelabelBlock(&block);
+    blocks.push_back(std::move(block));
+  }
+  return blocks;
+}
+
+/// Asserts BuildBlocks and the oracle emit the same blocks, field for
+/// field, in the same order.
+void ExpectMatchesReference(const Graph& g,
+                            const std::vector<NodeId>& feasible,
+                            const BlocksOptions& options,
+                            const std::string& label) {
+  const std::vector<Block> got = BuildBlocks(g, feasible, options);
+  const std::vector<Block> want = ReferenceBuildBlocks(g, feasible, options);
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].subgraph.to_parent, want[i].subgraph.to_parent)
+        << label << " block " << i;
+    ASSERT_TRUE(got[i].subgraph.graph == want[i].subgraph.graph)
+        << label << " block " << i;
+    ASSERT_EQ(got[i].roles, want[i].roles) << label << " block " << i;
+    ASSERT_EQ(got[i].kernel_local, want[i].kernel_local)
+        << label << " block " << i;
+  }
+}
+
+const char* PolicyName(SeedPolicy policy) {
+  switch (policy) {
+    case SeedPolicy::kLowestDegree:
+      return "lowest";
+    case SeedPolicy::kHighestDegree:
+      return "highest";
+    case SeedPolicy::kFirstId:
+      return "first";
+  }
+  return "?";
+}
+
+/// Every SeedPolicy x min_adjacency x degeneracy_relabel combination on
+/// `g` at block size m, over the cut's feasible set and over a sparser
+/// subset of it (so low-degree non-feasible nodes show up as borders).
+void SweepAgainstReference(const Graph& g, uint32_t m,
+                           const std::string& label, bool* relabeled) {
+  const CutResult cut = Cut(g, m);
+  std::vector<NodeId> every_third;
+  for (size_t i = 0; i < cut.feasible.size(); i += 3) {
+    every_third.push_back(cut.feasible[i]);
+  }
+  for (SeedPolicy policy : {SeedPolicy::kLowestDegree,
+                            SeedPolicy::kHighestDegree,
+                            SeedPolicy::kFirstId}) {
+    for (uint32_t min_adjacency : {1u, 3u}) {
+      for (bool relabel : {false, true}) {
+        BlocksOptions options;
+        options.max_block_size = m;
+        options.seed_policy = policy;
+        options.min_adjacency = min_adjacency;
+        options.degeneracy_relabel = relabel;
+        const std::string tag = label + " m=" + std::to_string(m) + " " +
+                                PolicyName(policy) + " minadj=" +
+                                std::to_string(min_adjacency) +
+                                (relabel ? " relabel" : "");
+        ExpectMatchesReference(g, cut.feasible, options, tag);
+        ExpectMatchesReference(g, every_third, options, tag + " subset");
+        if (relabel && !*relabeled) {
+          // Record whether relabeling actually permuted some block, so
+          // the sweep provably covers that path.
+          for (const Block& block : BuildBlocks(g, cut.feasible, options)) {
+            if (!std::is_sorted(block.subgraph.to_parent.begin(),
+                                block.subgraph.to_parent.end())) {
+              *relabeled = true;
+              break;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BlocksOracleTest, MatchesReferenceAcrossGraphsAndOptions) {
+  Rng rng(401);
+  gen::SocialNetworkConfig social = gen::FacebookConfig(0.02);
+  social.seed = 7;
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"er", gen::ErdosRenyiGnp(200, 0.06, &rng)},
+      {"ba", gen::BarabasiAlbert(250, 4, &rng)},
+      {"social", gen::GenerateSocialNetwork(social)},
+      {"powerlaw", gen::PowerLawConfigurationModel(400, 2.1, 1, 120, &rng)},
+  };
+  bool relabeled = false;
+  for (const auto& [name, g] : graphs) {
+    for (uint32_t m : {3u, 8u, 20u, 60u}) {
+      SweepAgainstReference(g, m, name, &relabeled);
+    }
+  }
+  EXPECT_TRUE(relabeled) << "no block was dense enough to be relabeled";
+}
+
+TEST(BlocksOracleTest, MatchesReferenceWhenCandidatesGoInfeasible) {
+  // The graph of InfeasibleCandidateDoesNotStopAbsorption: candidate A
+  // overflows m mid-block while B and b1 still join.
+  GraphBuilder b;
+  b.AddEdge(0, 1);
+  b.AddEdge(0, 2);
+  b.AddEdge(1, 3);
+  b.AddEdge(1, 4);
+  b.AddEdge(1, 5);
+  b.AddEdge(2, 6);
+  const Graph g = b.Build();
+  bool relabeled = false;
+  SweepAgainstReference(g, 5, "infeasible-mid-block", &relabeled);
+  // A dense graph at the smallest m where every node is feasible: most
+  // candidates overflow the block after the first few absorptions.
+  Rng rng(402);
+  const Graph dense = gen::ErdosRenyiGnp(60, 0.15, &rng);
+  SweepAgainstReference(dense, dense.MaxDegree() + 1, "dense-tight-m",
+                        &relabeled);
+}
+
+TEST(BlocksOracleTest, MatchesReferenceOnEmptyFeasibleSet) {
+  const Graph g = gen::Complete(6);
+  BlocksOptions options;
+  options.max_block_size = 3;
+  ExpectMatchesReference(g, {}, options, "empty");
+  EXPECT_TRUE(BuildBlocks(g, {}, options).empty());
 }
 
 TEST(BlockTest, RoleCountsAndBytes) {

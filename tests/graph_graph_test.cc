@@ -1,5 +1,7 @@
 #include "graph/graph.h"
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include "graph/subgraph.h"
 #include "graph/views.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace mce {
 namespace {
@@ -146,6 +149,120 @@ TEST(InduceTest, DropsEdgesToOutsiders) {
   InducedSubgraph sub = Induce(g, std::vector<NodeId>{1, 2, 3});
   EXPECT_EQ(sub.graph.num_nodes(), 3u);
   EXPECT_EQ(sub.graph.num_edges(), 0u);  // leaves are pairwise non-adjacent
+}
+
+/// Checks `sub` against an O(k^2) HasEdge reference for the subgraph of `g`
+/// induced by `nodes`: ascending to_parent, and each local row exactly the
+/// ascending local ids of the member's parent neighbors.
+void ExpectInducedMatchesNaive(const Graph& g, const InducedSubgraph& sub,
+                               std::vector<NodeId> nodes,
+                               const std::string& label) {
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  ASSERT_EQ(sub.to_parent, nodes) << label;
+  ASSERT_EQ(sub.graph.num_nodes(), nodes.size()) << label;
+  for (NodeId i = 0; i < nodes.size(); ++i) {
+    std::vector<NodeId> want;
+    for (NodeId j = 0; j < nodes.size(); ++j) {
+      if (j != i && g.HasEdge(nodes[i], nodes[j])) want.push_back(j);
+    }
+    const auto row = sub.graph.Neighbors(i);
+    ASSERT_EQ(std::vector<NodeId>(row.begin(), row.end()), want)
+        << label << " local row " << i;
+  }
+}
+
+/// Runs both Induce overloads on `nodes` (the slot overload on its sorted,
+/// de-duplicated form) against the reference, and checks that the slot
+/// scratch is all-empty again afterwards.
+void ExpectBothInducesMatchNaive(const Graph& g, InduceScratch* scratch,
+                                 const std::vector<NodeId>& nodes,
+                                 const std::string& label) {
+  ExpectInducedMatchesNaive(g, Induce(g, nodes), nodes, label + " merge");
+  std::vector<NodeId> sorted = nodes;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  ExpectInducedMatchesNaive(g, Induce(g, sorted, scratch), nodes,
+                            label + " slots");
+  EXPECT_TRUE(std::all_of(scratch->slot.begin(), scratch->slot.end(),
+                          [](NodeId s) { return s == kEmptySlot; }))
+      << label << ": slot scratch not restored";
+}
+
+/// Sparse random graph over n nodes plus `hubs` nodes adjacent to all
+/// others, so hub rows are far longer than any small member list.
+Graph HubHeavyGraph(NodeId n, NodeId hubs, Rng* rng) {
+  GraphBuilder b(n);
+  for (NodeId v = 0; v < n; ++v) {
+    for (int e = 0; e < 2; ++e) {
+      const NodeId w = static_cast<NodeId>(rng->NextBounded(n));
+      if (w != v) b.AddEdge(v, w);
+    }
+  }
+  for (NodeId h = 0; h < hubs; ++h) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (v != h) b.AddEdge(h, v);
+    }
+  }
+  return b.Build();
+}
+
+TEST(InduceTest, BothPathsMatchNaiveReference) {
+  Rng rng(13);
+  const NodeId n = 2000;
+  const Graph g = HubHeavyGraph(n, 3, &rng);
+  InduceScratch scratch(g.num_nodes());
+  auto random_subset = [&](size_t k) {
+    std::vector<NodeId> nodes;
+    for (size_t i = 0; i < k; ++i) {
+      nodes.push_back(static_cast<NodeId>(rng.NextBounded(n)));
+    }
+    return nodes;
+  };
+
+  ExpectBothInducesMatchNaive(g, &scratch, {}, "empty");
+  ExpectBothInducesMatchNaive(g, &scratch, {7}, "single");
+  ExpectBothInducesMatchNaive(g, &scratch, {0}, "single hub");
+  ExpectBothInducesMatchNaive(g, &scratch, {40, 3, 40, 1, 0, 3, 2, 40},
+                              "unsorted with duplicates");
+  // Rows >> k: hub rows of degree n-1 against a handful of members.
+  std::vector<NodeId> hubs_and_few = random_subset(6);
+  hubs_and_few.insert(hubs_and_few.end(), {0, 1, 2});
+  ExpectBothInducesMatchNaive(g, &scratch, hubs_and_few, "hubs + 6");
+  // k >> rows: most of the graph against degree-~4 rows.
+  std::vector<NodeId> many;
+  for (NodeId v = 3; v < n; v += 2) many.push_back(v);
+  ExpectBothInducesMatchNaive(g, &scratch, many, "half, no hubs");
+  // Comparable lengths: linear merges, with and without the hubs.
+  ExpectBothInducesMatchNaive(g, &scratch, random_subset(30), "random 30");
+  std::vector<NodeId> mid = random_subset(200);
+  mid.push_back(1);
+  ExpectBothInducesMatchNaive(g, &scratch, mid, "random 200 + hub");
+
+  // The whole-graph induce reproduces the graph itself.
+  std::vector<NodeId> whole(n);
+  for (NodeId v = 0; v < n; ++v) whole[v] = v;
+  EXPECT_TRUE(Induce(g, whole).graph == g);
+  EXPECT_TRUE(Induce(g, whole, &scratch).graph == g);
+  const Graph small = test::Figure1Graph();
+  InduceScratch small_scratch(small.num_nodes());
+  std::vector<NodeId> all_small(small.num_nodes());
+  for (NodeId v = 0; v < small.num_nodes(); ++v) all_small[v] = v;
+  ExpectBothInducesMatchNaive(small, &small_scratch, all_small, "whole fig1");
+}
+
+TEST(InduceTest, SlotOverloadAcceptsCallerMarksOnMembers) {
+  // A caller may leave its own non-empty marks on the members it induces
+  // (BLOCKS marks block membership that way); the result ignores them and
+  // the call clears them.
+  const Graph g = test::Figure1Graph();
+  InduceScratch scratch(g.num_nodes());
+  const std::vector<NodeId> members{1, 2, 5, 9};
+  for (NodeId v : members) scratch.slot[v] = 0;
+  ExpectInducedMatchesNaive(g, Induce(g, members, &scratch), members,
+                            "premarked");
+  EXPECT_TRUE(std::all_of(scratch.slot.begin(), scratch.slot.end(),
+                          [](NodeId s) { return s == kEmptySlot; }));
 }
 
 TEST(ViewsTest, MatrixMatchesGraph) {

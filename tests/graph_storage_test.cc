@@ -134,6 +134,31 @@ TEST(GraphStorageTest, BothLoadersRejectNonMonotoneOffsets) {
   std::remove(path.c_str());
 }
 
+// ValidateCsr scans in fixed-width chunks plus a tail: a single bad entry
+// must be caught at every position, in both arrays.
+TEST(GraphStorageTest, ValidateCsrCatchesABadEntryAtEveryPosition) {
+  const uint64_t n = 40;
+  std::vector<uint64_t> offsets(n + 1);
+  for (uint64_t v = 0; v <= n; ++v) offsets[v] = v;  // one entry per row
+  std::vector<NodeId> adjacency(n);
+  for (NodeId v = 0; v < n; ++v) adjacency[v] = (v + 1) % n;
+  ASSERT_TRUE(ValidateCsr("ok", offsets, adjacency).ok());
+  for (size_t at = 0; at < adjacency.size(); ++at) {
+    std::vector<NodeId> bad = adjacency;
+    bad[at] = static_cast<NodeId>(n);
+    EXPECT_EQ(ValidateCsr("id", offsets, bad).code(),
+              StatusCode::kInvalidArgument)
+        << "neighbor id n at " << at;
+  }
+  for (size_t at = 1; at < n; ++at) {
+    std::vector<uint64_t> bad = offsets;
+    bad[at] = offsets[at + 1] + 1;
+    EXPECT_EQ(ValidateCsr("offsets", bad, adjacency).code(),
+              StatusCode::kInvalidArgument)
+        << "descending offset at " << at;
+  }
+}
+
 // A header claiming far more edges than the file holds is rejected by the
 // size check before either loader sizes anything from it.
 TEST(GraphStorageTest, BothLoadersRejectOversizedEdgeCount) {

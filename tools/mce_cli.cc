@@ -15,12 +15,16 @@
 //   mce_cli convert --input t1.txt --output t1.bin --to binary
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "community/percolation.h"
 #include "mce/clique_io.h"
@@ -38,6 +42,7 @@
 #include "obs/progress.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "util/check.h"
 #include "util/memory_budget.h"
 #include "util/random.h"
 
@@ -48,14 +53,45 @@ using mce::NodeId;
 using mce::Result;
 using mce::Status;
 
-/// Minimal flag parser; accepts `--flag value`, `--flag=value`, and bare
+/// How a flag's value is parsed. kInt values must lie in [min, max].
+enum class FlagType { kString, kBool, kInt, kDouble };
+
+struct FlagSpec {
+  const char* name;
+  FlagType type = FlagType::kString;
+  int64_t min = std::numeric_limits<int>::min();
+  int64_t max = std::numeric_limits<int>::max();
+};
+
+/// Parses the whole of `text` as a base-10 integer in [min, max].
+bool ParseInt(const std::string& text, int64_t min, int64_t max,
+              int64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && *out >= min && *out <= max;
+}
+
+/// Parses the whole of `text` as a finite floating-point number.
+bool ParseDouble(const std::string& text, double* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
+}
+
+/// Strict flag parser; accepts `--flag value`, `--flag=value`, and bare
 /// boolean `--flag` (stored as "true" when the next token is another flag
-/// or the end of the line), in any order and mixed freely.
+/// or the end of the line), in any order and mixed freely. Validate()
+/// rejects stray arguments, flags the subcommand does not declare and
+/// values that do not parse as the declared type; the typed getters are
+/// only called after it succeeded.
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
     for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) != 0) continue;
+      if (std::strncmp(argv[i], "--", 2) != 0) {
+        stray_.emplace_back(argv[i]);
+        continue;
+      }
       const char* body = argv[i] + 2;
       if (const char* eq = std::strchr(body, '=')) {
         values_[std::string(body, eq)] = eq + 1;
@@ -67,25 +103,76 @@ class Flags {
     }
   }
 
+  /// Checks every argument against `specs`; returns "" or the first error.
+  std::string Validate(const std::vector<FlagSpec>& specs) const {
+    if (!stray_.empty()) return "unexpected argument '" + stray_[0] + "'";
+    for (const auto& [key, value] : values_) {
+      const FlagSpec* spec = Find(specs, key);
+      if (spec == nullptr) return "unknown flag --" + key;
+      int64_t i = 0;
+      double d = 0;
+      switch (spec->type) {
+        case FlagType::kString:
+          break;
+        case FlagType::kBool:
+          if (value != "true" && value != "false") {
+            return "--" + key + " takes true or false, got '" + value + "'";
+          }
+          break;
+        case FlagType::kInt:
+          if (!ParseInt(value, spec->min, spec->max, &i)) {
+            return "--" + key + " takes an integer in [" +
+                   std::to_string(spec->min) + ", " +
+                   std::to_string(spec->max) + "], got '" + value + "'";
+          }
+          break;
+        case FlagType::kDouble:
+          if (!ParseDouble(value, &d)) {
+            return "--" + key + " takes a number, got '" + value + "'";
+          }
+          break;
+      }
+    }
+    return "";
+  }
+
   std::string Get(const std::string& key, const std::string& fallback) const {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
 
+  bool GetBool(const std::string& key) const { return Get(key, "") == "true"; }
+
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    double value = 0;
+    MCE_CHECK(ParseDouble(it->second, &value));
+    return value;
   }
 
   int GetInt(const std::string& key, int fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    int64_t value = 0;
+    MCE_CHECK(ParseInt(it->second, std::numeric_limits<int>::min(),
+                       std::numeric_limits<int>::max(), &value));
+    return static_cast<int>(value);
   }
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
  private:
+  static const FlagSpec* Find(const std::vector<FlagSpec>& specs,
+                              const std::string& key) {
+    for (const FlagSpec& spec : specs) {
+      if (key == spec.name) return &spec;
+    }
+    return nullptr;
+  }
+
   std::map<std::string, std::string> values_;
+  std::vector<std::string> stray_;
 };
 
 /// Loads a graph in the format implied by --format or the file suffix.
@@ -108,10 +195,10 @@ Result<Graph> LoadGraph(const Flags& flags) {
     }
   }
   if (format == "mcsr") {
-    if (flags.Get("mmap-graph", "") == "true") return mce::OpenMmapGraph(input);
+    if (flags.GetBool("mmap-graph")) return mce::OpenMmapGraph(input);
     return mce::ReadCsrBinary(input);
   }
-  if (flags.Get("mmap-graph", "") == "true") {
+  if (flags.GetBool("mmap-graph")) {
     return Status::InvalidArgument(
         "--mmap-graph requires a .mcsr input (convert with --to mcsr)");
   }
@@ -162,10 +249,6 @@ int CmdEnumerate(const Flags& flags) {
   // --threads N: analyze blocks on N local threads (0 = all hardware
   // threads). The clique output is identical to the serial run.
   int threads = flags.GetInt("threads", 1);
-  if (threads < 0) {
-    std::fprintf(stderr, "error: --threads must be >= 0\n");
-    return 1;
-  }
   // Oversubscription guard: far more workers than hardware threads only
   // adds context-switch overhead to a CPU-bound pipeline. Clamp at 4x, a
   // generous allowance for experimentation, and say so.
@@ -182,12 +265,12 @@ int CmdEnumerate(const Flags& flags) {
   // the pooled executor (the clique output is identical either way).
   options.max_block_cost =
       flags.GetDouble("max-block-cost", options.max_block_cost);
-  if (flags.Get("no-split", "") == "true") options.split_blocks = false;
+  if (flags.GetBool("no-split")) options.split_blocks = false;
   // --reduce / --no-reduce: graph-reduction prepass (strip simplicial /
   // degree<=1 vertices, fold true twins) before the pipeline. The clique
   // output is identical either way; --no-reduce wins if both are given.
-  if (flags.Get("reduce", "") == "true") options.reduce = true;
-  if (flags.Get("no-reduce", "") == "true") options.reduce = false;
+  if (flags.GetBool("reduce")) options.reduce = true;
+  if (flags.GetBool("no-reduce")) options.reduce = false;
   // --executor serial|pooled|cluster: which execution engine runs the
   // pipeline. "cluster" routes through the simulated-cluster executor
   // (like --workers); the default picks serial or pooled by --threads.
@@ -233,7 +316,7 @@ int CmdEnumerate(const Flags& flags) {
   // software task clock when the syscall is unavailable, e.g. in
   // containers); the attribution lands in the report ("profile" in
   // --json) and as args on --trace-out spans.
-  if (flags.Get("perf-counters", "") == "true") options.profile = true;
+  if (flags.GetBool("perf-counters")) options.profile = true;
   if (flags.Has("workers")) {
     options.simulate_cluster = true;
     options.cluster.num_workers = flags.GetInt("workers", 10);
@@ -256,11 +339,7 @@ int CmdEnumerate(const Flags& flags) {
   mce::obs::TelemetryOptions telemetry;
   telemetry.out_path = flags.Get("heartbeat-out", "");
   telemetry.interval_ms = flags.GetInt("heartbeat-interval-ms", 500);
-  telemetry.tty_progress = flags.Get("progress", "") == "true";
-  if (telemetry.interval_ms <= 0) {
-    std::fprintf(stderr, "error: --heartbeat-interval-ms must be >= 1\n");
-    return 1;
-  }
+  telemetry.tty_progress = flags.GetBool("progress");
   const bool want_telemetry =
       !telemetry.out_path.empty() || telemetry.tty_progress;
   mce::obs::TelemetrySampler sampler(&progress, telemetry);
@@ -296,7 +375,7 @@ int CmdEnumerate(const Flags& flags) {
     }
     std::fprintf(stderr, "wrote metrics to %s\n", metrics_out.c_str());
   }
-  if (flags.Get("json", "") == "true") {
+  if (flags.GetBool("json")) {
     std::printf("%s\n", mce::RunReportJson(*result).c_str());
     return 0;
   }
@@ -328,7 +407,7 @@ int CmdEnumerate(const Flags& flags) {
     std::printf("wrote %zu cliques to %s\n", result->cliques.size(),
                 output.c_str());
   }
-  if (flags.Get("verify", "") == "true") {
+  if (flags.GetBool("verify")) {
     mce::VerificationReport report =
         mce::VerifyAgainstReference(*g, result->cliques);
     std::printf("verification: %s\n", report.ToString().c_str());
@@ -359,10 +438,6 @@ int CmdCommunities(const Flags& flags) {
     return 1;
   }
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
-  if (k < 2) {
-    std::fprintf(stderr, "error: --k must be >= 2\n");
-    return 1;
-  }
   auto communities = mce::community::KCliqueCommunities(*g, k);
   std::printf("%zu k-clique communities (k=%u)\n", communities.size(), k);
   const int top = flags.GetInt("top", 10);
@@ -461,6 +536,8 @@ void Usage() {
       stderr,
       "usage: mce_cli <stats|enumerate|top|communities|generate|convert> "
       "[--flag value ...]\n"
+      "  Each subcommand accepts only the flags listed for it; numbers must\n"
+      "  parse in full and booleans are true|false.\n"
       "  stats       --input G [--format edges|triples|binary|mcsr]\n"
       "  enumerate   --input G [--ratio R | --m M] [--workers N]\n"
       "              [--threads T]  (analysis threads; 0 = all cores)\n"
@@ -496,7 +573,8 @@ void Usage() {
       "  top         --input G [--k K]  (k largest maximal cliques)\n"
       "  communities --input G [--k K] [--top K]\n"
       "  generate    --model twitter1|...|er|ba|ws --output G\n"
-      "              [--scale S | --nodes N --p P --attach A]\n"
+      "              [--scale S | --nodes N --p P --attach A --kring K\n"
+      "               --beta B] [--seed S]\n"
       "  convert     --input G --output G2 --to edges|binary|mcsr|dot\n");
 }
 
@@ -507,14 +585,70 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  const std::string command = argv[1];
-  Flags flags(argc, argv, 2);
-  if (command == "stats") return CmdStats(flags);
-  if (command == "enumerate") return CmdEnumerate(flags);
-  if (command == "top") return CmdTop(flags);
-  if (command == "communities") return CmdCommunities(flags);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "convert") return CmdConvert(flags);
+  // Flags every graph-reading subcommand accepts (see LoadGraph).
+  const std::vector<FlagSpec> input_flags = {
+      {"input"}, {"format"}, {"mmap-graph", FlagType::kBool}};
+  auto with_input = [&input_flags](std::vector<FlagSpec> specs) {
+    specs.insert(specs.end(), input_flags.begin(), input_flags.end());
+    return specs;
+  };
+  struct Command {
+    const char* name;
+    int (*run)(const Flags&);
+    std::vector<FlagSpec> flags;
+  };
+  const Command commands[] = {
+      {"stats", CmdStats, with_input({})},
+      {"enumerate", CmdEnumerate,
+       with_input({{"m", FlagType::kInt, 1},
+                   {"ratio", FlagType::kDouble},
+                   {"threads", FlagType::kInt, 0},
+                   {"executor"},
+                   {"max-block-cost", FlagType::kDouble},
+                   {"no-split", FlagType::kBool},
+                   {"reduce", FlagType::kBool},
+                   {"no-reduce", FlagType::kBool},
+                   {"memory-budget"},
+                   {"spill-threshold"},
+                   {"spill-dir"},
+                   {"perf-counters", FlagType::kBool},
+                   {"workers", FlagType::kInt, 1},
+                   {"trace-out"},
+                   {"metrics-out"},
+                   {"heartbeat-out"},
+                   {"heartbeat-interval-ms", FlagType::kInt, 1},
+                   {"progress", FlagType::kBool},
+                   {"json", FlagType::kBool},
+                   {"top", FlagType::kInt, 0},
+                   {"output"},
+                   {"verify", FlagType::kBool}})},
+      {"top", CmdTop, with_input({{"k", FlagType::kInt, 0}})},
+      {"communities", CmdCommunities,
+       with_input({{"k", FlagType::kInt, 2}, {"top", FlagType::kInt, 0}})},
+      {"generate", CmdGenerate,
+       {{"model"},
+        {"output"},
+        {"scale", FlagType::kDouble},
+        {"seed", FlagType::kInt, 0},
+        {"nodes", FlagType::kInt, 0},
+        {"p", FlagType::kDouble},
+        {"attach", FlagType::kInt, 1},
+        {"kring", FlagType::kInt, 0},
+        {"beta", FlagType::kDouble}}},
+      {"convert", CmdConvert, with_input({{"output"}, {"to"}})},
+  };
+  const std::string name = argv[1];
+  for (const Command& command : commands) {
+    if (name != command.name) continue;
+    const Flags flags(argc, argv, 2);
+    const std::string error = flags.Validate(command.flags);
+    if (!error.empty()) {
+      std::fprintf(stderr, "error: %s: %s\n", command.name, error.c_str());
+      Usage();
+      return 2;
+    }
+    return command.run(flags);
+  }
   Usage();
   return 2;
 }
