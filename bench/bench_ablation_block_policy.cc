@@ -30,8 +30,8 @@ int main() {
       for (uint32_t min_adjacency : {1u, 2u, 4u}) {
         MaxCliqueFinder::Options options;
         options.block_size_ratio = 0.5;
-        options.seed_policy = policy;
-        options.min_adjacency = min_adjacency;
+        options.pipeline.seed_policy = policy;
+        options.pipeline.min_adjacency = min_adjacency;
         MaxCliqueFinder finder(options);
         Result<FindResult> result = finder.Find(d.graph);
         MCE_CHECK(result.ok());

@@ -163,7 +163,7 @@ FindResult RunPipeline(const Graph& g, double ratio, bool simulate_cluster,
   options.block_size_ratio = ratio;
   options.simulate_cluster = simulate_cluster;
   options.cluster.num_workers = workers;
-  options.num_threads = num_threads;
+  options.pipeline.num_threads = num_threads;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(g);
   MCE_CHECK(result.ok());

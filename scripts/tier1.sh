@@ -168,22 +168,19 @@ if "$build/tools/mce_perf_diff" "$trace_dir/report_a.json" \
 fi
 echo "perf-diff gate trips on injected regression: ok"
 
-# Profiling leg: a pooled run with --perf-counters must export counter
-# args that trace_check validates, reconstruct into a critical path that
-# explains the wall clock (mce_trace_analyze --require-critical-path),
-# and report per-kind / per-level attribution that sums exactly to the
-# recorded totals. The same binary must degrade cleanly to the software
-# clock when perf_event_open is unavailable (MCE_FORCE_NO_PERF=1).
+# Profiling leg: runs with --perf-counters must export counter args that
+# trace_check validates, reconstruct into a critical path that explains
+# the wall clock (mce_trace_analyze --require-critical-path), and report
+# per-kind / per-level attribution that sums exactly to the recorded
+# totals. Both engines share one task window, so the leg covers a pooled
+# and a serial run on the social graph and the m-core fallback (a dense
+# ER graph with a small block bound) on each engine. The same binary
+# must degrade cleanly to the software clock when perf_event_open is
+# unavailable (MCE_FORCE_NO_PERF=1).
 echo "=== tier-1: profiling + critical-path validation ==="
-"$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
-  --executor pooled --threads 4 --perf-counters true \
-  --trace-out="$trace_dir/trace_prof.json" \
-  --json true >"$trace_dir/report_prof.json"
-"$build/tools/trace_check" "$trace_dir/trace_prof.json" \
-  --require DecomposeTask,BlockTask,FilterTask --require-counters
-"$build/tools/mce_trace_analyze" "$trace_dir/trace_prof.json" \
-  --require-critical-path >/dev/null
-python3 - "$trace_dir/report_prof.json" <<'EOF'
+"$build/tools/mce_cli" generate --model er --nodes 60 --p 0.5 \
+  --output "$trace_dir/er.txt" >/dev/null
+cat >"$trace_dir/resum.py" <<'EOF'
 import json, sys
 profile = json.load(open(sys.argv[1]))["profile"]
 if not profile["enabled"]:
@@ -195,11 +192,32 @@ for part in ("by_kind", "by_level"):
                 "cliques"):
         want = total[key]
         got = sum(b[key] for b in buckets)
-        # by_level excludes the reduce prepass; this run has none.
+        # by_level excludes the reduce prepass; these runs have none.
         if got != want:
             sys.exit(f"profile.{part} {key} sums to {got}, total is {want}")
 print("profile attribution sums match recorded totals")
 EOF
+# profile_leg NAME REQUIRED-SPANS ENUMERATE-ARGS...
+profile_leg() {
+  local name="$1" require="$2"
+  shift 2
+  "$build/tools/mce_cli" enumerate "$@" --perf-counters true \
+    --trace-out="$trace_dir/trace_$name.json" \
+    --json true >"$trace_dir/report_$name.json"
+  "$build/tools/trace_check" "$trace_dir/trace_$name.json" \
+    --require "$require" --require-counters
+  "$build/tools/mce_trace_analyze" "$trace_dir/trace_$name.json" \
+    --require-critical-path >/dev/null
+  python3 "$trace_dir/resum.py" "$trace_dir/report_$name.json"
+}
+profile_leg prof DecomposeTask,BlockTask,FilterTask \
+  --input "$trace_dir/fb.txt" --executor pooled --threads 4
+profile_leg prof_serial DecomposeTask,BlockTask \
+  --input "$trace_dir/fb.txt" --executor serial
+profile_leg fallback_serial DecomposeTask,FallbackTask \
+  --input "$trace_dir/er.txt" --m 5 --executor serial
+profile_leg fallback_pooled DecomposeTask,FallbackTask \
+  --input "$trace_dir/er.txt" --m 5 --executor pooled --threads 4
 software_hw="$(MCE_FORCE_NO_PERF=1 "$build/tools/mce_cli" enumerate \
   --input "$trace_dir/fb.txt" --executor pooled --threads 4 \
   --perf-counters true --json true | python3 -c \

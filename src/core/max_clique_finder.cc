@@ -25,34 +25,19 @@ Result<uint32_t> MaxCliqueFinder::ResolveBlockSize(const Graph& g) const {
 
 Result<FindResult> MaxCliqueFinder::Find(const Graph& g) const {
   MCE_ASSIGN_OR_RETURN(uint32_t m, ResolveBlockSize(g));
-  if (options_.min_adjacency == 0) {
+  if (options_.pipeline.min_adjacency == 0) {
     return Status::InvalidArgument("min_adjacency must be >= 1");
   }
   if (options_.simulate_cluster && options_.cluster.num_workers < 1) {
     return Status::InvalidArgument("cluster.num_workers must be >= 1");
   }
 
-  decomp::FindMaxCliquesOptions pipeline;
+  decomp::FindMaxCliquesOptions pipeline = options_.pipeline;
   pipeline.max_block_size = m;
-  pipeline.min_adjacency = options_.min_adjacency;
-  pipeline.seed_policy = options_.seed_policy;
-  pipeline.num_threads = options_.num_threads;
-  pipeline.executor = options_.executor;
-  pipeline.reduce = options_.reduce;
-  pipeline.split_blocks = options_.split_blocks;
-  pipeline.max_block_cost = options_.max_block_cost;
-  pipeline.memory_budget_bytes = options_.memory_budget_bytes;
-  pipeline.spill_threshold_bytes = options_.spill_threshold_bytes;
-  pipeline.spill_dir = options_.spill_dir;
-  pipeline.trace = options_.trace;
-  pipeline.metrics = options_.metrics;
-  pipeline.progress = options_.progress;
-  pipeline.profile = options_.profile;
-  if (options_.use_decision_tree) {
-    pipeline.tree =
-        options_.custom_tree != nullptr ? options_.custom_tree : &paper_tree_;
-  } else {
-    pipeline.fixed = options_.fixed_combo;
+  if (!options_.use_decision_tree) {
+    pipeline.tree = nullptr;
+  } else if (pipeline.tree == nullptr) {
+    pipeline.tree = &paper_tree_;
   }
 
   FindResult out;

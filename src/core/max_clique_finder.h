@@ -64,68 +64,21 @@ class MaxCliqueFinder {
     /// parameterization of Section 6. Must be in (0, 1] then.
     double block_size_ratio = 0.5;
     /// Choose the per-block enumerator with the Figure 3 decision tree
-    /// (default) or with `fixed_combo`.
+    /// (default) or with pipeline.fixed.
     bool use_decision_tree = true;
-    /// Override the built-in tree with a custom (e.g. freshly trained) one.
-    /// Not owned; must outlive the finder. Only read when
-    /// use_decision_tree is true.
-    const decision::DecisionTree* custom_tree = nullptr;
-    MceOptions fixed_combo = {Algorithm::kTomita,
-                              StorageKind::kAdjacencyList};
-    /// Second-level decomposition knobs (Algorithm 3).
-    uint32_t min_adjacency = 1;
-    decomp::SeedPolicy seed_policy = decomp::SeedPolicy::kLowestDegree;
-    /// Worker threads for the block-analysis and Lemma-1 filter phases.
-    /// 1 = serial, 0 = one per hardware thread. The clique set and origin
-    /// levels are identical for every thread count.
-    uint32_t num_threads = 1;
-    /// Which execution engine runs the pipeline (serial, pooled, or auto
-    /// by thread count); every engine yields identical cliques.
-    decomp::ExecutorKind executor = decomp::ExecutorKind::kAuto;
-    /// Graph-reduction prepass: strip simplicial/degree-0/degree-1
-    /// vertices and compress true twins before the pipeline runs, then
-    /// re-expand cliques on emission. The clique set is identical with or
-    /// without it. CLI: --reduce / --no-reduce.
-    bool reduce = false;
-    /// Cost-guided BlockTask splitting on the pooled executor: blocks
-    /// whose predicted analysis cost exceeds max_block_cost run as
-    /// kernel-range shards (see decomp::FindMaxCliquesOptions). The
-    /// emitted cliques are identical either way. CLI: --no-split /
-    /// --max-block-cost.
-    bool split_blocks = true;
-    double max_block_cost = decomp::kDefaultMaxBlockCost;
-    /// Soft ceiling, in bytes, on the executor's tracked resident state
-    /// (graphs, materialized blocks, analysis workspaces, clique-sink
-    /// buffers). 0 = unlimited. Under a budget the pooled executor holds
-    /// back ready BlockTasks past the first and sink buffers spill to
-    /// disk. The clique output is identical either way. CLI:
-    /// --memory-budget.
-    uint64_t memory_budget_bytes = 0;
-    /// Per-level clique-buffer bytes above which sinks spill sorted chunks
-    /// to temp files; 0 derives budget/8 from memory_budget_bytes (so no
-    /// spilling at all without a budget). CLI: --spill-threshold.
-    uint64_t spill_threshold_bytes = 0;
-    /// Directory for spill files; empty = $TMPDIR, else /tmp. CLI:
-    /// --spill-dir.
-    std::string spill_dir;
     /// Run the block-analysis phase on the simulated cluster and attach a
     /// ClusterSummary to the result.
     bool simulate_cluster = false;
     dist::ClusterConfig cluster;
-    /// Observability sinks passed through to the pipeline (src/obs). Not
-    /// owned; nullptr falls back to the process-wide installed instances.
-    obs::TraceRecorder* trace = nullptr;
-    obs::MetricsRegistry* metrics = nullptr;
-    /// Live progress estimator passed through to the executors; attach a
-    /// TelemetrySampler to the same instance for heartbeat output. No
-    /// installed-instance fallback (progress is run-scoped). Not owned.
-    obs::ProgressEstimator* progress = nullptr;
-    /// Per-task hardware-counter profiling (perf_event_open when
-    /// available, software task clock otherwise): every pipeline task
-    /// reads cycle/instruction/miss deltas, surfaced as
-    /// RunStats::profile and as counter args on trace spans. CLI:
-    /// --perf-counters.
-    bool profile = false;
+    /// Every other pipeline knob — second-level decomposition, threads and
+    /// executor, the reduction prepass, block splitting, memory budget and
+    /// spilling, observability sinks, profiling — passed through to
+    /// decomp::FindMaxCliques as is (see decomp::FindMaxCliquesOptions).
+    /// Find() overrides only max_block_size (resolved from block_size /
+    /// block_size_ratio) and tree: the paper's tree unless pipeline.tree
+    /// names a custom (e.g. freshly trained) one, which is not owned and
+    /// must outlive the finder; no tree when use_decision_tree is false.
+    decomp::FindMaxCliquesOptions pipeline;
   };
 
   MaxCliqueFinder() : MaxCliqueFinder(Options()) {}

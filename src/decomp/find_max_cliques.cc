@@ -33,19 +33,12 @@ StreamingStats FindMaxCliquesStreaming(const Graph& g,
 FindMaxCliquesResult FindMaxCliques(const Graph& g,
                                     const FindMaxCliquesOptions& options) {
   std::vector<std::pair<Clique, uint32_t>> found;
-  StreamingStats stats = FindMaxCliquesStreaming(
+  FindMaxCliquesResult out;
+  static_cast<StreamingStats&>(out) = FindMaxCliquesStreaming(
       g, options, [&found](std::span<const NodeId> clique, uint32_t level) {
         found.emplace_back(Clique(clique.begin(), clique.end()), level);
       });
   std::sort(found.begin(), found.end());
-
-  FindMaxCliquesResult out;
-  out.levels = std::move(stats.levels);
-  out.used_fallback = stats.used_fallback;
-  out.reduction = stats.reduction;
-  out.memory = stats.memory;
-  out.progress = stats.progress;
-  out.profile = stats.profile;
   for (auto& [clique, origin] : found) {
     out.origin_level.push_back(origin);
     out.cliques.Add(std::move(clique));  // already sorted

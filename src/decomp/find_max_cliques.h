@@ -103,9 +103,8 @@ struct FindMaxCliquesOptions {
   /// contiguous kernel-range shards of at most that predicted share, each
   /// running as its own pool task; shard buffers are merged back in kernel
   /// order, so emission stays byte-identical to the undivided task. Ready
-  /// tasks dispatch largest-predicted-first either way. split_blocks=false
-  /// (CLI --no-split) or max_block_cost <= 0 keeps blocks indivisible.
-  bool split_blocks = true;
+  /// tasks dispatch largest-predicted-first either way. max_block_cost <= 0
+  /// (CLI --max-block-cost 0) keeps blocks indivisible.
   double max_block_cost = kDefaultMaxBlockCost;
   /// Execution engine selection; see ExecutorKind.
   ExecutorKind executor = ExecutorKind::kAuto;
@@ -228,20 +227,18 @@ struct MemoryStats {
   double admission_stall_seconds = 0;
 };
 
-struct FindMaxCliquesResult {
-  /// All maximal cliques of G, canonicalized.
-  CliqueSet cliques;
-  /// origin_level[i]: recursion level whose blocks produced cliques()[i];
-  /// level >= 1 means the clique consists of hub nodes only (w.r.t. the
-  /// top-level m) — the gray bars of Figures 9-11.
-  std::vector<uint32_t> origin_level;
+/// What every run reports besides its cliques: the streaming engines
+/// return it as is, FindMaxCliquesResult extends it with the clique set.
+struct StreamingStats {
   std::vector<LevelStats> levels;
   /// True when the sparsity precondition failed and the remaining hub core
   /// was enumerated directly.
   bool used_fallback = false;
+  /// Includes the reduction prepass's trivial cliques when reduce is on.
+  uint64_t cliques_emitted = 0;
   /// Prepass telemetry (reduction.enabled iff options.reduce was set).
   /// Trivial cliques emitted by the prepass are counted here and in the
-  /// clique set, not in any LevelStats entry.
+  /// clique stream, not in any LevelStats entry.
   reduce::ReductionStats reduction;
   /// Memory-budget telemetry (zeros on unbudgeted, unspilled runs except
   /// peak_tracked_bytes, which is always maintained).
@@ -250,6 +247,15 @@ struct FindMaxCliquesResult {
   obs::ProgressAccounting progress;
   /// Per-task counter attribution (enabled iff options.profile was set).
   obs::ProfileStats profile;
+};
+
+struct FindMaxCliquesResult : StreamingStats {
+  /// All maximal cliques of G, canonicalized.
+  CliqueSet cliques;
+  /// origin_level[i]: recursion level whose blocks produced cliques()[i];
+  /// level >= 1 means the clique consists of hub nodes only (w.r.t. the
+  /// top-level m) — the gray bars of Figures 9-11.
+  std::vector<uint32_t> origin_level;
 
   /// Number of first-level decomposition iterations (Figure 7 reports 2-3).
   size_t NumLevels() const { return levels.size(); }
@@ -263,19 +269,6 @@ FindMaxCliquesResult FindMaxCliques(const Graph& g,
 /// valid during the call) and the recursion level that produced it.
 using LeveledCliqueCallback =
     std::function<void(std::span<const NodeId>, uint32_t level)>;
-
-struct StreamingStats {
-  std::vector<LevelStats> levels;
-  bool used_fallback = false;
-  /// Includes the reduction prepass's trivial cliques when reduce is on.
-  uint64_t cliques_emitted = 0;
-  reduce::ReductionStats reduction;
-  MemoryStats memory;
-  /// Final progress accounting (enabled iff options.progress was set).
-  obs::ProgressAccounting progress;
-  /// Per-task counter attribution (enabled iff options.profile was set).
-  obs::ProfileStats profile;
-};
 
 /// Streaming form of FindMaxCliques: emits each maximal clique of G
 /// exactly once (the Lemma 1 filter is applied per clique before emission)

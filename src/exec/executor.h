@@ -5,17 +5,18 @@
 // Both engines honor the delivery contract of DESIGN.md §7: the clique
 // callback and the block observer run only on the thread that called the
 // engine, blocks surface in decomposition order, levels in recursion
-// order — so both produce byte-identical emission. What differs is
+// order — so both produce byte-identical emission. Both call the same
+// task bodies and task window (exec/task_graph.h); what differs is
 // scheduling:
 //
 //   RunSerial  — depth-first on the calling thread; each BlockTask runs
 //                the moment DecomposeTask emits its block, so memory stays
 //                O(graph + largest block).
 //   RunPooled  — BlockTasks dispatch to a shared ThreadPool as BuildBlocks
-//                emits them, FilterTasks chunk across the pool behind a
-//                completion token, and DecomposeTask(h+1) is submitted
-//                right after Cut(h) so it overlaps the tail of level-h
-//                analysis.
+//                emits them, FilterTasks chunk across the pool once the
+//                level's last BlockTask finishes, and DecomposeTask(h+1)
+//                is submitted right after Cut(h) so it overlaps the tail
+//                of level-h analysis.
 //
 // The simulated cluster (dist::RunDistributedMce) consumes the block
 // observer stream of whichever engine runs.

@@ -11,21 +11,22 @@
 //    submitted before level h's blocks are even built — the next level's
 //    induce/cut/build runs concurrently with the tail of level-h analysis
 //    (the measured window is LevelStats::overlap_seconds).
-//  * The level's FilterTasks are chained behind its last BlockTask with a
-//    ThreadPool::Completion token instead of a pool-wide Wait() barrier.
+//  * The level's FilterTasks are planned by a task that whichever of the
+//    level's decompose task and last BlockTask finishes second submits —
+//    a per-level dependency instead of a pool-wide Wait() barrier.
 //
 // Delivery (cliques, observer records, stats) happens only on the
 // calling thread, levels in order and blocks in decomposition order, off
 // buffered per-block results — which is what makes the emission
 // byte-identical to the serial engine.
 //
-// Timing: every task records one begin/end window on the obs::NowMicros()
-// timebase. The same windows feed the trace recorder (when one is
-// resolved) and the LevelStats — analyze_seconds is the hull of the
-// level's block+filter spans, overlap_seconds the decompose window
-// clipped against earlier levels' analysis hulls, idle_seconds the
-// worker capacity of the hull minus the block work inside it
-// (obs/span_math.h).
+// Timing: every task records one always-clocked TaskWindow on the
+// obs::NowMicros() timebase (exec/task_graph.h). The same windows feed the
+// trace recorder and the profile (when attached) and the LevelStats —
+// analyze_seconds is the hull of the level's block+filter spans,
+// overlap_seconds the decompose window clipped against earlier levels'
+// analysis hulls, idle_seconds the worker capacity of the hull minus the
+// block work inside it (obs/span_math.h).
 //
 // Synchronization: all cross-task state hangs off LevelRun records owned
 // by a deque guarded by one engine mutex. Tasks receive stable element
@@ -136,8 +137,9 @@ struct LevelRun {
   double batch_cost = 0;
   bool blocks_final = false;
   size_t blocks_done = 0;
-  bool analysis_signaled = false;
-  ThreadPool::Completion analysis_token;
+  /// Set by whichever of the decompose task and the last BlockTask
+  /// submits PlanFilter, so it runs exactly once.
+  bool filter_planned = false;
 
   // FilterTask state (levels >= 1). Chunks own disjoint clique ranges of
   // the concatenated shard sinks (block order, shards in kernel order —
@@ -163,8 +165,7 @@ struct LevelRun {
   /// bucket holds only its self work.
   obs::CounterDelta decompose_helped;
   std::vector<std::pair<int64_t, int64_t>> filter_spans;
-  int64_t fallback_begin_us = 0;
-  int64_t fallback_end_us = 0;
+  std::pair<int64_t, int64_t> fallback_span;
 
   bool ready = false;
 };
@@ -181,10 +182,11 @@ class PooledEngine {
         trace_(ResolveTrace(options)),
         metrics_(ResolveMetrics(options)),
         progress_(options.progress),
-        profile_on_(options.profile),
         budget_(options.memory_budget_bytes),
         workspaces_(std::max<size_t>(1, num_threads)),
         pool_(std::max<size_t>(1, num_threads)) {
+    sinks_.trace = trace_;
+    if (options.profile) sinks_.profile = &profile_;
     spill_config_.dir = options.spill_dir;
     spill_config_.threshold_bytes = decomp::EffectiveSpillThreshold(options);
     spill_config_.budget = &budget_;
@@ -211,8 +213,7 @@ class PooledEngine {
     // even submitted, so the trivial cliques hold the same leading stream
     // positions as on the serial engine. The level chain decomposes the
     // reduced graph; original_ stays the Lemma-1 reference.
-    prep_.Run(original_, options_, trace_, metrics_, emit_, &out,
-              profile_on_ ? &profile_ : nullptr);
+    prep_.Run(original_, options_, sinks_, metrics_, emit_, &out);
     expansion_ = prep_.map();
     // The pipeline graph is resident for the whole run (an mmap-backed
     // graph reports zero here — its pages are reclaimable).
@@ -261,7 +262,7 @@ class PooledEngine {
         static_cast<double>(
             admission_stall_micros_.load(std::memory_order_relaxed)) *
         1e-6;
-    if (profile_on_) out.profile = profile_.Snapshot();
+    if (sinks_.profile != nullptr) out.profile = profile_.Snapshot();
     metrics_.RecordRun(out);
     if (progress_ != nullptr) {
       progress_->MarkComplete();
@@ -275,12 +276,11 @@ class PooledEngine {
   /// level's decompose, then stream blocks into BlockTasks.
   void DecomposeTask(LevelRun* lr, LevelRun* parent) {
     // The whole task — induce, cut, block growth, cost scoring — runs on
-    // this one worker, so a single counter window covers it. The window
-    // closes inside RecordDecomposeSpan, before the m-core fallback (its
-    // own task kind) starts.
-    obs::ScopedCounters decompose_counters;
-    if (profile_on_) decompose_counters.Begin();
-    lr->decompose_begin_us = obs::NowMicros();
+    // this one worker, so a single task window covers it. The window
+    // closes inside CloseDecompose, before the m-core fallback (its own
+    // task kind) starts.
+    TaskWindow window(sinks_, /*clocked=*/true);
+    lr->decompose_begin_us = window.begin_us();
     if (progress_ != nullptr) progress_->BeginLevel(lr->level);
     if (parent != nullptr) {
       InducedSubgraph sub = Induce(*parent->graph, parent->cut.hubs);
@@ -308,9 +308,16 @@ class PooledEngine {
         chain_done_ = true;
       }
       lr->fallback = true;
-      lr->decompose_end_us = obs::NowMicros();
-      RecordDecomposeSpan(lr, decompose_counters);
-      RunFallback(lr);
+      lr->decompose_end_us = window.Stop();
+      CloseDecompose(lr, window);
+      lr->fallback_cliques = MakeCliqueSink(&lr->spill);
+      lr->fallback_span = RunFallbackTask(
+          original_, expansion_, graph, lr->level, lr->to_original, options_,
+          sinks_, metrics_,
+          [lr](std::span<const NodeId> c) {
+            lr->fallback_cliques->AppendRaw(c);
+          },
+          &lr->stats);
       {
         std::lock_guard<std::mutex> lock(mu_);
         lr->ready = true;
@@ -339,10 +346,6 @@ class PooledEngine {
       chain_done_ = true;
     }
 
-    // The filter stage chains behind the level's last BlockTask.
-    lr->analysis_token = pool_.CreateCompletion(1);
-    pool_.SubmitAfter(lr->analysis_token, [this, lr] { PlanFilter(lr); });
-
     decomp::BuildBlocksStreaming(
         graph, lr->cut.feasible, blocks_options_,
         [this, lr](decomp::Block&& b) { EmitBlock(lr, std::move(b)); });
@@ -350,49 +353,28 @@ class PooledEngine {
     // has a task in flight when the completion check below runs.
     FlushBatch(lr);
 
-    bool signal = false;
-    ThreadPool::Completion token;
+    const int64_t end_us = window.Stop();
+    bool plan = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       lr->blocks_final = true;
       lr->stats.blocks = lr->execs.size();
-      lr->decompose_end_us = obs::NowMicros();
-      signal = !lr->analysis_signaled && lr->blocks_done == lr->execs.size();
-      if (signal) {
-        lr->analysis_signaled = true;
-        token = lr->analysis_token;
-      }
+      lr->decompose_end_us = end_us;
+      plan = !lr->filter_planned && lr->blocks_done == lr->execs.size();
+      if (plan) lr->filter_planned = true;
     }
-    RecordDecomposeSpan(lr, decompose_counters);
-    if (signal) token.Signal();
+    CloseDecompose(lr, window);
+    if (plan) pool_.Submit([this, lr] { PlanFilter(lr); });
   }
 
-  /// The level's kDecompose span; call after decompose_end_us and the cut
-  /// stats are final (this worker wrote both). Closes the task's counter
-  /// window and books it under the decompose bucket.
-  void RecordDecomposeSpan(LevelRun* lr, obs::ScopedCounters& counters) {
-    obs::CounterDelta delta;
-    if (counters.active()) {
-      delta = counters.Finish();
-      delta.SaturatingSubtract(lr->decompose_helped);
-      profile_.Add(
-          obs::SpanKind::kDecompose, lr->level,
-          static_cast<double>(lr->decompose_end_us - lr->decompose_begin_us) *
-              1e-6,
-          0, delta);
-    }
-    if (trace_ == nullptr) return;
-    obs::TraceEvent e;
-    e.begin_us = lr->decompose_begin_us;
-    e.end_us = lr->decompose_end_us;
-    e.kind = obs::SpanKind::kDecompose;
-    e.level = lr->level;
-    e.args[0] = lr->stats.num_nodes;
-    e.args[1] = lr->stats.num_edges;
-    e.args[2] = lr->stats.feasible;
-    e.args[3] = lr->stats.hubs;
-    e.prof = delta;
-    trace_->Record(e);
+  /// Closes the level's decompose window into its kDecompose span; call
+  /// once the window is stopped and the cut stats are final (this worker
+  /// wrote both). Analyses the worker ran while held at the block gate
+  /// are booked by their own windows, so they are carved out here.
+  void CloseDecompose(LevelRun* lr, TaskWindow& window) {
+    if (!window.observed()) return;
+    window.Close(MakeDecomposeSpan(lr->stats, lr->level), window.seconds(), 0,
+                 lr->decompose_helped);
   }
 
   /// Emission of one block by DecomposeTask(level): score it, plan its
@@ -406,9 +388,8 @@ class PooledEngine {
     // sampler sees the work as pending the moment it exists.
     if (progress_ != nullptr) progress_->RegisterBlock(lr->level, cost);
     const size_t kernels = b.kernel_local.size();
-    const bool splittable = options_.split_blocks &&
-                            options_.max_block_cost > 0 &&
-                            pool_.num_threads() > 1;
+    const bool splittable =
+        options_.max_block_cost > 0 && pool_.num_threads() > 1;
     const size_t shards =
         splittable
             ? decision::PlanShardCount(cost, options_.max_block_cost, kernels)
@@ -496,11 +477,10 @@ class PooledEngine {
     // analyses to finish (the stall happens before begin_us so it never
     // inflates the block's measured window).
     AdmitAnalysis(lr->level, exec->ws_bytes);
-    // Counters open after the admission stall so a budget wait never
+    // The window opens after the admission stall so a budget wait never
     // shows up as analysis work.
-    obs::ScopedCounters counters;
-    if (profile_on_) counters.Begin();
-    run.begin_us = obs::NowMicros();
+    TaskWindow window(sinks_, /*clocked=*/true);
+    run.begin_us = window.begin_us();
     // Level-0 buffers are the emission source and must hold each clique
     // sorted; deeper levels' buffers only feed the filter, which sorts.
     // With the reduction prepass active, level 0 additionally re-expands
@@ -526,37 +506,21 @@ class PooledEngine {
           }
         },
         &workspaces_[worker], run.range);
-    run.end_us = obs::NowMicros();
-    run.seconds = static_cast<double>(run.end_us - run.begin_us) * 1e-6;
+    run.end_us = window.Stop();
+    run.seconds = window.seconds();
     run.worker = worker;
     const size_t total = exec->shards.size();
     const uint64_t index = exec->record.index;
     const double cost = exec->record.estimated_cost;
-    obs::CounterDelta delta;
-    if (counters.active()) {
-      delta = counters.Finish();
-      profile_.Add(total > 1 ? obs::SpanKind::kBlockShard
-                             : obs::SpanKind::kBlock,
-                   lr->level, run.seconds, run.result.num_cliques, delta);
-    }
-    if (trace_ != nullptr) {
-      if (total > 1) {
-        obs::TraceEvent e = MakeBlockShardSpan(run.begin_us, run.end_us,
-                                               lr->level, index, run.range,
-                                               run.result.num_cliques, total,
-                                               run.result.used);
-        // Equal predicted share per shard — matching the dispatch queue.
-        e.cost = cost / static_cast<double>(total);
-        e.prof = delta;
-        trace_->Record(e);
-      } else {
-        obs::TraceEvent e = MakeBlockSpan(run.begin_us, run.end_us,
-                                          exec->block, run.result, lr->level,
-                                          index);
-        e.cost = cost;
-        e.prof = delta;
-        trace_->Record(e);
-      }
+    if (window.observed()) {
+      obs::TraceEvent e =
+          total > 1 ? MakeBlockShardSpan(lr->level, index, run.range,
+                                         run.result.num_cliques, total,
+                                         run.result.used)
+                    : MakeBlockSpan(exec->block, run.result, lr->level, index);
+      // Equal predicted share per shard — matching the dispatch queue.
+      e.cost = cost / static_cast<double>(total);
+      window.Close(e, run.seconds, run.result.num_cliques);
     }
     FinishAnalysis(exec->ws_bytes);
 
@@ -598,27 +562,24 @@ class PooledEngine {
     // serial one-block-at-a-time profile.
     ReleaseBlock(exec);
 
-    bool signal = false;
-    ThreadPool::Completion token;
+    bool plan = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++lr->blocks_done;
-      signal = lr->blocks_final && !lr->analysis_signaled &&
-               lr->blocks_done == lr->execs.size();
-      if (signal) {
-        lr->analysis_signaled = true;
-        token = lr->analysis_token;
-      }
+      plan = lr->blocks_final && !lr->filter_planned &&
+             lr->blocks_done == lr->execs.size();
+      if (plan) lr->filter_planned = true;
     }
-    if (signal) token.Signal();
+    if (plan) pool_.Submit([this, lr] { PlanFilter(lr); });
   }
 
   /// Runs after the level's last BlockTask: partitions the buffered
   /// cliques into FilterTask chunks (levels >= 1), or marks the level
   /// ready directly (level 0 needs no filter).
   void PlanFilter(LevelRun* lr) {
-    // The completion token ordered this task after every BlockTask of the
-    // level, so the buffers are safe to read without the lock. Shards are
+    // Submitted only once every BlockTask of the level had finished (the
+    // filter_planned transition under the engine mutex), so the buffers
+    // are safe to read without the lock. Shards are
     // listed in kernel order within each block, so the sink concatenation
     // is the serial emission order — chunk tasks stream their ranges out
     // of it with ForEachCliqueInRange, never materializing spans.
@@ -663,9 +624,7 @@ class PooledEngine {
   /// contiguous slice of the level's buffered cliques, survivors appended
   /// in slice order to the chunk's own arena.
   void FilterChunkTask(LevelRun* lr, size_t begin, size_t end, size_t chunk) {
-    obs::ScopedCounters counters;
-    if (profile_on_) counters.Begin();
-    const int64_t begin_us = obs::NowMicros();
+    TaskWindow window(sinks_, /*clocked=*/true);
     CliqueSink& out = *lr->filter_out[chunk];
     Clique scratch;
     Clique expand_scratch;
@@ -679,93 +638,25 @@ class PooledEngine {
             ++kept;
           }
         });
-    const int64_t end_us = obs::NowMicros();
-    obs::CounterDelta delta;
-    if (counters.active()) {
-      delta = counters.Finish();
-      profile_.Add(obs::SpanKind::kFilter, lr->level,
-                   static_cast<double>(end_us - begin_us) * 1e-6, kept,
-                   delta);
-    }
-    if (trace_ != nullptr) {
+    window.Stop();
+    if (window.observed()) {
       obs::TraceEvent e;
-      e.begin_us = begin_us;
-      e.end_us = end_us;
       e.kind = obs::SpanKind::kFilter;
       e.level = lr->level;
       e.index = chunk;
       e.args[0] = end - begin;
       e.args[1] = kept;
-      e.prof = delta;
-      trace_->Record(e);
+      window.Close(e, window.seconds(), kept);
     }
     metrics_.RecordFilter(end - begin, kept);
     bool done = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      lr->filter_spans.emplace_back(begin_us, end_us);
+      lr->filter_spans.emplace_back(window.begin_us(), window.Stop());
       done = --lr->filter_chunks_left == 0;
       if (done) lr->ready = true;
     }
     if (done) cv_.notify_all();
-  }
-
-  void RunFallback(LevelRun* lr) {
-    decomp::LevelStats& stats = lr->stats;
-    lr->fallback_cliques = MakeCliqueSink(&lr->spill);
-    double fallback_cost = 0;
-    if (progress_ != nullptr) {
-      // The fallback MCE is one indivisible unit of work, scored with
-      // the block cost model so the denominator stays in one currency.
-      fallback_cost = decision::EstimateBlockCost(*lr->graph);
-      progress_->RegisterBlock(lr->level, fallback_cost);
-    }
-    obs::ScopedCounters counters;
-    if (profile_on_) counters.Begin();
-    lr->fallback_begin_us = obs::NowMicros();
-    Clique scratch;
-    Clique expand_scratch;
-    uint64_t produced = 0;
-    EnumerateMaximalCliques(*lr->graph, options_.fallback,
-                            [&](std::span<const NodeId> c) {
-                              ++produced;
-                              if (MapExpandAndFilterClique(
-                                      original_, c, lr->to_original,
-                                      lr->level, expansion_, &expand_scratch,
-                                      &scratch)) {
-                                lr->fallback_cliques->AppendRaw(scratch);
-                              }
-                            });
-    lr->fallback_end_us = obs::NowMicros();
-    if (progress_ != nullptr) progress_->RetireBlock(lr->level, fallback_cost);
-    stats.cliques = produced;
-    stats.analyze_seconds =
-        static_cast<double>(lr->fallback_end_us - lr->fallback_begin_us) *
-        1e-6;
-    stats.block_seconds = stats.analyze_seconds;
-    stats.busiest_worker_seconds = stats.analyze_seconds;
-    stats.analyze_threads = 1;  // one worker ran the indivisible task
-    obs::CounterDelta delta;
-    if (counters.active()) {
-      delta = counters.Finish();
-      profile_.Add(obs::SpanKind::kFallback, lr->level,
-                   stats.analyze_seconds, produced, delta);
-    }
-    if (trace_ != nullptr) {
-      obs::TraceEvent e;
-      e.begin_us = lr->fallback_begin_us;
-      e.end_us = lr->fallback_end_us;
-      e.kind = obs::SpanKind::kFallback;
-      e.level = lr->level;
-      e.args[0] = lr->graph->num_nodes();
-      e.args[1] = lr->graph->num_edges();
-      e.args[2] = produced;
-      e.prof = delta;
-      trace_->Record(e);
-    }
-    if (lr->level > 0) {
-      metrics_.RecordFilter(produced, lr->fallback_cliques->size());
-    }
   }
 
   /// Calling thread only. Emits the level's cliques, replays the observer
@@ -780,7 +671,7 @@ class PooledEngine {
     if (lr->fallback) {
       out.used_fallback = true;
       analyze_spans.push_back(
-          Range(lr->fallback_begin_us, lr->fallback_end_us));
+          Range(lr->fallback_span.first, lr->fallback_span.second));
       lr->fallback_cliques->ForEach([&](std::span<const NodeId> c) {
         ++out.cliques_emitted;
         emit_(c, lr->level);
@@ -1004,10 +895,12 @@ class PooledEngine {
   /// queued analysis task here. Returns false when the queue was empty.
   bool HelpAnalyze(LevelRun* lr) {
     FlushBatch(lr);
-    obs::ScopedCounters counters;
-    if (profile_on_) counters.Begin();
+    // The helped analyses book themselves; their counter delta is carved
+    // out of the decompose window that hosts them.
+    TaskWindow helped(sinks_);
     const bool ran = queue_.RunNext();
-    if (counters.active()) lr->decompose_helped += counters.Finish();
+    helped.Stop();
+    lr->decompose_helped += helped.counters();
     return ran;
   }
 
@@ -1052,8 +945,9 @@ class PooledEngine {
   /// Per-task hardware-counter attribution (options.profile). Pooled
   /// tasks run on disjoint worker threads, so every task's delta is
   /// accumulated as-is — per-kind sums reproduce the run total exactly.
-  const bool profile_on_;
   obs::ProfileAccumulator profile_;
+  /// The task windows' sinks: trace_, and profile_ when profiling.
+  TaskSinks sinks_;
 
   // Memory accounting. Declared before levels_: the sinks owned by
   // LevelRun records release against budget_ in their destructors, so the

@@ -28,8 +28,8 @@ decomp::StreamingStats RunSerial(const Graph& g,
   obs::TraceRecorder* const trace = ResolveTrace(options);
   RunMetrics metrics(ResolveMetrics(options));
   obs::ProgressEstimator* const progress = options.progress;
-  const bool profile_on = options.profile;
   obs::ProfileAccumulator profile;
+  const TaskSinks sinks{trace, options.profile ? &profile : nullptr};
   decomp::StreamingStats out;
   // One workspace reused across every block of the run.
   BlockWorkspace workspace;
@@ -37,8 +37,7 @@ decomp::StreamingStats RunSerial(const Graph& g,
   // cliques right here and the level chain below starts from the
   // reduced graph; `g` stays the filter's reference graph.
   ReducePrepass prep;
-  prep.Run(g, options, trace, metrics, emit, &out,
-           profile_on ? &profile : nullptr);
+  prep.Run(g, options, sinks, metrics, emit, &out);
   const reduce::ReductionMap* const expansion = prep.map();
   const Graph* current = &prep.pipeline_graph();
   // The serial walk never stalls or spills (its live set is already
@@ -74,47 +73,19 @@ decomp::StreamingStats RunSerial(const Graph& g,
   const decomp::BlockAnalysisOptions analysis_options =
       AnalysisOptionsFor(options);
 
+  // A surviving clique (sorted, original ids) streams straight out.
+  auto emit_survivor = [&](std::span<const NodeId> c) {
+    ++out.cliques_emitted;
+    if (progress != nullptr) progress->AddCliques(1);
+    emit(c, level);
+  };
   auto deliver = [&](std::span<const NodeId> c) {
     const bool kept = MapExpandAndFilterClique(
         g, c, to_original, level, expansion, &expand_scratch, &scratch);
     // Level 0 needs no maximality check, so only deeper levels count as
     // filter work.
     if (level > 0) metrics.RecordFilter(1, kept ? 1 : 0);
-    if (kept) {
-      ++out.cliques_emitted;
-      if (progress != nullptr) progress->AddCliques(1);
-      emit(scratch, level);
-    }
-  };
-
-  // Per-level counter state: the level window is read at decompose-span
-  // close, and the nested block/fallback deltas are subtracted so the
-  // decompose bucket holds only its *self* work — per-kind sums then
-  // reproduce the run total exactly despite the nesting.
-  obs::ScopedCounters level_counters;
-  obs::CounterDelta level_children;
-
-  // The decompose span of a level covers CUT plus the block growth; the
-  // inline BlockTask spans nest inside it on this single track.
-  auto record_decompose = [&](const decomp::LevelStats& stats,
-                              int64_t begin_us) {
-    obs::TraceEvent e;
-    e.begin_us = begin_us;
-    e.end_us = obs::NowMicros();
-    e.kind = obs::SpanKind::kDecompose;
-    e.level = level;
-    e.args[0] = stats.num_nodes;
-    e.args[1] = stats.num_edges;
-    e.args[2] = stats.feasible;
-    e.args[3] = stats.hubs;
-    if (level_counters.active()) {
-      obs::CounterDelta self = level_counters.Finish();
-      self.SaturatingSubtract(level_children);
-      e.prof = self;
-      profile.Add(obs::SpanKind::kDecompose, level,
-                  stats.decompose_seconds, 0, self);
-    }
-    if (trace != nullptr) trace->Record(e);
+    if (kept) emit_survivor(scratch);
   };
 
   for (;;) {
@@ -125,10 +96,19 @@ decomp::StreamingStats RunSerial(const Graph& g,
     // this, so it must never read 0.
     stats.analyze_threads = 1;
 
-    const int64_t level_begin_us =
-        trace != nullptr || profile_on ? obs::NowMicros() : 0;
-    level_children = obs::CounterDelta();
-    if (profile_on) level_counters.Begin();
+    // The decompose span of a level covers CUT plus the block growth; the
+    // inline BlockTask spans nest inside it on this single track, and
+    // their counter deltas are subtracted at close so the decompose bucket
+    // holds only its *self* work — per-kind sums then reproduce the run
+    // total exactly despite the nesting.
+    TaskWindow decompose(sinks);
+    obs::CounterDelta nested;
+    auto close_decompose = [&] {
+      if (decompose.observed()) {
+        decompose.Close(MakeDecomposeSpan(stats, level),
+                        stats.decompose_seconds, 0, nested);
+      }
+    };
     if (progress != nullptr) progress->BeginLevel(level);
     // The decompose clock accumulates Cut plus the block-growth
     // segments between block emissions.
@@ -142,49 +122,9 @@ decomp::StreamingStats RunSerial(const Graph& g,
       // m-core. Enumerate it directly as one indivisible task.
       out.used_fallback = true;
       stats.decompose_seconds = segment.ElapsedSeconds();
-      if (trace != nullptr || profile_on) {
-        record_decompose(stats, level_begin_us);
-      }
-      const int64_t fallback_begin_us =
-          trace != nullptr || profile_on ? obs::NowMicros() : 0;
-      obs::ScopedCounters fallback_counters;
-      if (profile_on) fallback_counters.Begin();
-      double fallback_cost = 0;
-      if (progress != nullptr) {
-        // The fallback MCE is one indivisible unit of work; score it
-        // with the same cost model as a block so the denominator stays
-        // in one currency.
-        fallback_cost = decision::EstimateBlockCost(*current);
-        progress->RegisterBlock(level, fallback_cost);
-      }
-      Timer analyze_timer;
-      uint64_t produced = 0;
-      EnumerateMaximalCliques(*current, options.fallback,
-                              [&](std::span<const NodeId> c) {
-                                ++produced;
-                                deliver(c);
-                              });
-      if (progress != nullptr) progress->RetireBlock(level, fallback_cost);
-      stats.cliques = produced;
-      stats.analyze_seconds = analyze_timer.ElapsedSeconds();
-      stats.block_seconds = stats.analyze_seconds;
-      stats.busiest_worker_seconds = stats.analyze_seconds;
-      if (trace != nullptr || profile_on) {
-        obs::TraceEvent e;
-        e.begin_us = fallback_begin_us;
-        e.end_us = obs::NowMicros();
-        e.kind = obs::SpanKind::kFallback;
-        e.level = level;
-        e.args[0] = stats.num_nodes;
-        e.args[1] = stats.num_edges;
-        e.args[2] = produced;
-        if (fallback_counters.active()) {
-          e.prof = fallback_counters.Finish();
-          profile.Add(obs::SpanKind::kFallback, level,
-                      stats.analyze_seconds, produced, e.prof);
-        }
-        if (trace != nullptr) trace->Record(e);
-      }
+      close_decompose();
+      RunFallbackTask(g, expansion, *current, level, to_original, options,
+                      sinks, metrics, emit_survivor, &stats);
       out.levels.push_back(stats);
       if (progress != nullptr) progress->FinishLevel(level);
       break;
@@ -209,35 +149,24 @@ decomp::StreamingStats RunSerial(const Graph& g,
           // or splits.
           const double estimated_cost =
               progress != nullptr || options.block_observer ||
-                      trace != nullptr || profile_on
+                      decompose.observed()
                   ? decision::EstimateBlockCost(block.subgraph.graph)
                   : 0;
           if (progress != nullptr) {
             progress->RegisterBlock(level, estimated_cost);
           }
-          const int64_t block_begin_us =
-              trace != nullptr || profile_on ? obs::NowMicros() : 0;
-          obs::ScopedCounters block_counters;
-          if (profile_on) block_counters.Begin();
+          TaskWindow window(sinks);
           Timer block_timer;
           decomp::BlockAnalysisResult result = decomp::AnalyzeBlock(
               block, analysis_options, deliver, &workspace);
           const double block_seconds = block_timer.ElapsedSeconds();
+          window.Stop();
           budget.Release(block_charge);
-          obs::CounterDelta block_delta;
-          if (block_counters.active()) {
-            block_delta = block_counters.Finish();
-            profile.Add(obs::SpanKind::kBlock, level, block_seconds,
-                        result.num_cliques, block_delta);
-            level_children += block_delta;
-          }
-          if (trace != nullptr) {
-            obs::TraceEvent e = MakeBlockSpan(
-                block_begin_us, obs::NowMicros(), block, result, level,
-                block_index);
+          if (window.observed()) {
+            obs::TraceEvent e =
+                MakeBlockSpan(block, result, level, block_index);
             e.cost = estimated_cost;
-            e.prof = block_delta;
-            trace->Record(e);
+            nested += window.Close(e, block_seconds, result.num_cliques);
           }
           decomp::BlockTaskRecord record =
               MakeBlockTaskRecord(block, level, block_index, estimated_cost);
@@ -259,9 +188,7 @@ decomp::StreamingStats RunSerial(const Graph& g,
     stats.blocks = block_index;
     stats.cliques = produced;
     stats.busiest_worker_seconds = stats.block_seconds;
-    if (trace != nullptr || profile_on) {
-      record_decompose(stats, level_begin_us);
-    }
+    close_decompose();
     out.levels.push_back(stats);
     if (progress != nullptr) progress->FinishLevel(level);
 
@@ -282,7 +209,7 @@ decomp::StreamingStats RunSerial(const Graph& g,
   }
   out.memory.budget_bytes = budget.limit();
   out.memory.peak_tracked_bytes = budget.peak();
-  if (profile_on) out.profile = profile.Snapshot();
+  if (options.profile) out.profile = profile.Snapshot();
   metrics.RecordRun(out);
   if (progress != nullptr) {
     progress->MarkComplete();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "decision/block_cost.h"
 #include "decomp/filter.h"
 #include "mce/storage.h"
 
@@ -57,58 +58,131 @@ std::vector<NodeId> ComposeToOriginal(const std::vector<NodeId>& to_original,
   return composed;
 }
 
-bool MapAndFilterClique(const Graph& original,
-                        std::span<const NodeId> level_ids,
-                        const std::vector<NodeId>& to_original, uint32_t level,
-                        Clique* out) {
-  out->clear();
-  out->reserve(level_ids.size());
-  if (to_original.empty()) {
-    out->assign(level_ids.begin(), level_ids.end());
-  } else {
-    for (NodeId v : level_ids) out->push_back(to_original[v]);
-  }
-  std::sort(out->begin(), out->end());
-  return level == 0 || decomp::IsMaximalInGraph(original, *out);
-}
-
 bool MapExpandAndFilterClique(const Graph& original,
                               std::span<const NodeId> level_ids,
                               const std::vector<NodeId>& to_original,
                               uint32_t level,
                               const reduce::ReductionMap* expansion,
                               Clique* scratch, Clique* out) {
-  if (expansion == nullptr || !expansion->active()) {
-    return MapAndFilterClique(original, level_ids, to_original, level, out);
-  }
-  // Translate level ids to reduced-graph ids, then expand the twin
-  // classes to original ids (sorted) — the Lemma-1 check below sees the
-  // same original-id cliques it would without the prepass.
-  scratch->clear();
+  // Translate level ids to pipeline-graph ids: straight into `out` when
+  // there is nothing to expand, else into `scratch`, from which the twin
+  // classes expand into sorted original ids — either way the Lemma-1
+  // check below sees the same original-id cliques it would without the
+  // prepass.
+  const bool expand = expansion != nullptr && expansion->active();
+  Clique* const mapped = expand ? scratch : out;
+  mapped->clear();
   if (to_original.empty()) {
-    scratch->assign(level_ids.begin(), level_ids.end());
+    mapped->assign(level_ids.begin(), level_ids.end());
   } else {
-    scratch->reserve(level_ids.size());
-    for (NodeId v : level_ids) scratch->push_back(to_original[v]);
+    mapped->reserve(level_ids.size());
+    for (NodeId v : level_ids) mapped->push_back(to_original[v]);
   }
-  if (!expansion->ExpandClique(*scratch, out)) return false;
+  if (expand) {
+    if (!expansion->ExpandClique(*scratch, out)) return false;
+  } else {
+    std::sort(out->begin(), out->end());
+  }
   return level == 0 || decomp::IsMaximalInGraph(original, *out);
+}
+
+TaskWindow::TaskWindow(const TaskSinks& sinks, bool clocked)
+    : sinks_(sinks), timed_(clocked || observed()) {
+  if (timed_) begin_us_ = obs::NowMicros();
+  if (sinks_.profile != nullptr) counters_.Begin();
+}
+
+int64_t TaskWindow::Stop() {
+  if (!stopped_) {
+    stopped_ = true;
+    if (timed_) end_us_ = obs::NowMicros();
+    if (counters_.active()) delta_ = counters_.Finish();
+  }
+  return end_us_;
+}
+
+obs::CounterDelta TaskWindow::Close(obs::TraceEvent e, double seconds,
+                                    uint64_t cliques,
+                                    const obs::CounterDelta& nested) {
+  Stop();
+  obs::CounterDelta self = delta_;
+  self.SaturatingSubtract(nested);
+  e.begin_us = begin_us_;
+  e.end_us = end_us_;
+  e.prof = self;
+  if (sinks_.profile != nullptr) {
+    sinks_.profile->Add(e.kind,
+                        e.kind == obs::SpanKind::kReduce
+                            ? obs::ProfileAccumulator::kNoLevel
+                            : e.level,
+                        seconds, cliques, self);
+  }
+  if (sinks_.trace != nullptr) sinks_.trace->Record(e);
+  return self;
+}
+
+std::pair<int64_t, int64_t> RunFallbackTask(
+    const Graph& original, const reduce::ReductionMap* expansion,
+    const Graph& graph, uint32_t level, const std::vector<NodeId>& to_original,
+    const decomp::FindMaxCliquesOptions& options, const TaskSinks& sinks,
+    RunMetrics& metrics,
+    const std::function<void(std::span<const NodeId>)>& survivor,
+    decomp::LevelStats* stats) {
+  obs::ProgressEstimator* const progress = options.progress;
+  double cost = 0;
+  if (progress != nullptr) {
+    // The fallback MCE is one indivisible unit of work, scored with the
+    // block cost model so the denominator stays in one currency.
+    cost = decision::EstimateBlockCost(graph);
+    progress->RegisterBlock(level, cost);
+  }
+  TaskWindow window(sinks, /*clocked=*/true);
+  Clique scratch;
+  Clique expand_scratch;
+  uint64_t produced = 0;
+  uint64_t kept = 0;
+  EnumerateMaximalCliques(graph, options.fallback,
+                          [&](std::span<const NodeId> c) {
+                            ++produced;
+                            if (MapExpandAndFilterClique(
+                                    original, c, to_original, level,
+                                    expansion, &expand_scratch, &scratch)) {
+                              ++kept;
+                              survivor(scratch);
+                            }
+                          });
+  window.Stop();
+  if (progress != nullptr) progress->RetireBlock(level, cost);
+  stats->cliques = produced;
+  stats->analyze_seconds = window.seconds();
+  stats->block_seconds = stats->analyze_seconds;
+  stats->busiest_worker_seconds = stats->analyze_seconds;
+  stats->analyze_threads = 1;  // one worker ran the indivisible task
+  if (window.observed()) {
+    obs::TraceEvent e;
+    e.kind = obs::SpanKind::kFallback;
+    e.level = level;
+    e.args[0] = graph.num_nodes();
+    e.args[1] = graph.num_edges();
+    e.args[2] = produced;
+    window.Close(e, window.seconds(), produced);
+  }
+  // Level 0 needs no maximality check, so only deeper levels count as
+  // filter work.
+  if (level > 0) metrics.RecordFilter(produced, kept);
+  return {window.begin_us(), window.Stop()};
 }
 
 void ReducePrepass::Run(const Graph& g,
                         const decomp::FindMaxCliquesOptions& options,
-                        obs::TraceRecorder* trace, RunMetrics& metrics,
+                        const TaskSinks& sinks, RunMetrics& metrics,
                         const decomp::LeveledCliqueCallback& emit,
-                        decomp::StreamingStats* out,
-                        obs::ProfileAccumulator* profile) {
+                        decomp::StreamingStats* out) {
   if (!options.reduce) {
     graph_ = &g;
     return;
   }
-  const bool timed = trace != nullptr || profile != nullptr;
-  const int64_t begin_us = timed ? obs::NowMicros() : 0;
-  obs::ScopedCounters counters;
-  if (profile != nullptr) counters.Begin();
+  TaskWindow window(sinks);
   result_ = reduce::ReduceGraph(g, reduce::ReduceOptions{});
   // Pre-scan proved the graph irreducible: no copy was made, the map is
   // inactive, and the pipeline runs on the input directly. Stats still
@@ -127,23 +201,15 @@ void ReducePrepass::Run(const Graph& g,
     options.progress->AddCliques(result_.map.num_trivial_cliques());
   }
   metrics.RecordReduction(result_.stats);
-  if (timed) {
-    const int64_t end_us = obs::NowMicros();
+  if (window.observed()) {
+    window.Stop();
     obs::TraceEvent e;
-    e.begin_us = begin_us;
-    e.end_us = end_us;
     e.kind = obs::SpanKind::kReduce;
     e.args[0] = result_.stats.vertices_removed;
     e.args[1] = result_.stats.edges_removed;
     e.args[2] = result_.stats.trivial_cliques;
     e.args[3] = result_.stats.rounds;
-    if (counters.active()) {
-      e.prof = counters.Finish();
-      profile->Add(obs::SpanKind::kReduce, obs::ProfileAccumulator::kNoLevel,
-                   static_cast<double>(end_us - begin_us) * 1e-6,
-                   result_.stats.trivial_cliques, e.prof);
-    }
-    if (trace != nullptr) trace->Record(e);
+    window.Close(e, window.seconds(), result_.stats.trivial_cliques);
   }
 }
 
@@ -158,13 +224,22 @@ obs::MetricsRegistry* ResolveMetrics(
                                     : obs::MetricsRegistry::installed();
 }
 
-obs::TraceEvent MakeBlockSpan(int64_t begin_us, int64_t end_us,
-                              const decomp::Block& block,
+obs::TraceEvent MakeDecomposeSpan(const decomp::LevelStats& stats,
+                                  uint32_t level) {
+  obs::TraceEvent e;
+  e.kind = obs::SpanKind::kDecompose;
+  e.level = level;
+  e.args[0] = stats.num_nodes;
+  e.args[1] = stats.num_edges;
+  e.args[2] = stats.feasible;
+  e.args[3] = stats.hubs;
+  return e;
+}
+
+obs::TraceEvent MakeBlockSpan(const decomp::Block& block,
                               const decomp::BlockAnalysisResult& result,
                               uint32_t level, uint64_t index) {
   obs::TraceEvent e;
-  e.begin_us = begin_us;
-  e.end_us = end_us;
   e.kind = obs::SpanKind::kBlock;
   e.level = level;
   e.index = index;
@@ -177,14 +252,11 @@ obs::TraceEvent MakeBlockSpan(int64_t begin_us, int64_t end_us,
   return e;
 }
 
-obs::TraceEvent MakeBlockShardSpan(int64_t begin_us, int64_t end_us,
-                                   uint32_t level, uint64_t block_index,
+obs::TraceEvent MakeBlockShardSpan(uint32_t level, uint64_t block_index,
                                    const decomp::KernelRange& range,
                                    uint64_t cliques, uint64_t shards,
                                    const MceOptions& used) {
   obs::TraceEvent e;
-  e.begin_us = begin_us;
-  e.end_us = end_us;
   e.kind = obs::SpanKind::kBlockShard;
   e.level = level;
   e.index = block_index;

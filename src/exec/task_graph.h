@@ -23,8 +23,13 @@
 //     block observer records surface on the calling thread, in block
 //     order, levels in order (DESIGN.md §7).
 //
-// This header holds the stage payloads and the pure helpers every executor
-// shares; the executors themselves live behind exec/executor.h.
+// This header holds what both engines share: the stage payloads, the task
+// bodies that are not pure scheduling (the reduce prepass, the per-clique
+// filter, the m-core fallback), the span builders and the one task window
+// every task site is instrumented through. The engines themselves
+// (exec/executor.h) keep only scheduling: depth-first streaming on the
+// calling thread vs. pool dispatch, shards, batches, admission and
+// ordered delivery.
 
 #ifndef MCE_EXEC_TASK_GRAPH_H_
 #define MCE_EXEC_TASK_GRAPH_H_
@@ -33,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -45,6 +51,7 @@
 #include "mce/clique_sink.h"
 #include "mce/enumerator.h"
 #include "obs/metrics.h"
+#include "obs/perf_counters.h"
 #include "obs/trace.h"
 #include "reduce/reduction.h"
 
@@ -74,30 +81,98 @@ decomp::BlockAnalysisOptions AnalysisOptionsFor(
 std::vector<NodeId> ComposeToOriginal(const std::vector<NodeId>& to_original,
                                       const std::vector<NodeId>& to_parent);
 
-/// The FilterTask body for one clique: translates `level_ids` (ids of
-/// G_level) to original ids via `to_original` (empty = identity), sorts,
-/// and applies the telescoped Lemma-1 filter — a clique from level >= 1 is
-/// kept iff it is maximal in the original graph. Returns true and fills
-/// `out` when the clique survives.
-bool MapAndFilterClique(const Graph& original,
-                        std::span<const NodeId> level_ids,
-                        const std::vector<NodeId>& to_original, uint32_t level,
-                        Clique* out);
-
-/// MapAndFilterClique with the reduction prepass in the loop: `level_ids`
-/// are ids of the reduced graph's level chain, so after the to_original
-/// translation (into *scratch) the clique re-expands through `expansion`
-/// into original-graph ids — *before* the Lemma-1 check, which still runs
-/// against the true original graph. Returns false when the expansion is
-/// covered by a trivial clique of the prepass (a reduction leak) or fails
-/// the maximality check. With a null/inactive `expansion` this is exactly
-/// MapAndFilterClique.
+/// The per-clique body of the FilterTask and the m-core fallback:
+/// translates `level_ids` (ids of G_level) to pipeline-graph ids via
+/// `to_original` (empty = identity) and canonicalizes them into *out —
+/// sorting, or, with the reduction prepass active, re-expanding the twin
+/// classes through `expansion` into original-graph ids (via *scratch) —
+/// and then applies the telescoped Lemma-1 filter against the true
+/// original graph: a clique from level >= 1 is kept iff it is maximal
+/// there. Returns true and leaves the survivor in *out; returns false when
+/// the expansion is covered by a trivial clique of the prepass (a
+/// reduction leak) or the clique fails the maximality check. A null or
+/// inactive `expansion` leaves *scratch untouched.
 bool MapExpandAndFilterClique(const Graph& original,
                               std::span<const NodeId> level_ids,
                               const std::vector<NodeId>& to_original,
                               uint32_t level,
                               const reduce::ReductionMap* expansion,
                               Clique* scratch, Clique* out);
+
+/// Where a run's task windows report: the resolved trace recorder and the
+/// counter profile (null unless options.profile is set). Either may be
+/// null; each engine builds one per run.
+struct TaskSinks {
+  obs::TraceRecorder* trace = nullptr;
+  obs::ProfileAccumulator* profile = nullptr;
+};
+
+/// One task's instrumentation window — the only place the engines read a
+/// task's span clock and counters, so a task's trace span and its profile
+/// bucket entry come from the same window by construction. Opening reads
+/// the clock only when a sink is attached, or when `clocked` asks for it
+/// because the engine derives its LevelStats from the window; the thread's
+/// counter window begins only when profiling. Not thread-safe: a window
+/// opens, stops and closes on one thread.
+class TaskWindow {
+ public:
+  explicit TaskWindow(const TaskSinks& sinks, bool clocked = false);
+
+  /// True when a trace or profile is attached, i.e. Close() records
+  /// something. Callers build the span only then.
+  bool observed() const {
+    return sinks_.trace != nullptr || sinks_.profile != nullptr;
+  }
+  int64_t begin_us() const { return begin_us_; }
+
+  /// Ends the window: reads the end clock (when timed) and the counter
+  /// delta (when profiling). Idempotent; Close() stops an open window
+  /// itself. Returns the end timestamp (0 when untimed).
+  int64_t Stop();
+  /// Length of the stopped window in seconds (0 when untimed).
+  double seconds() const {
+    return static_cast<double>(end_us_ - begin_us_) * 1e-6;
+  }
+  /// Counter delta of the stopped window (zero when not profiling), for a
+  /// window whose work another task's window books.
+  const obs::CounterDelta& counters() const { return delta_; }
+
+  /// Closes the window: stamps `e` with the window and its counter delta
+  /// minus `nested` (work inside this window that nested windows book
+  /// themselves), books that delta under (e.kind, e.level) with `seconds`
+  /// and `cliques` when profiling — the reduce prepass, which sits outside
+  /// the recursion, under ProfileAccumulator::kNoLevel — and records `e`
+  /// when a trace is attached. Returns the booked delta.
+  obs::CounterDelta Close(obs::TraceEvent e, double seconds, uint64_t cliques,
+                          const obs::CounterDelta& nested = {});
+
+ private:
+  TaskSinks sinks_;
+  bool timed_ = false;
+  bool stopped_ = false;
+  int64_t begin_us_ = 0;
+  int64_t end_us_ = 0;
+  obs::ScopedCounters counters_;
+  obs::CounterDelta delta_;
+};
+
+/// The m-core fallback task (the sparsity precondition failed: G_level has
+/// no feasible node and is its own m-core), shared by both engines. It
+/// registers the graph with the progress estimator as one block-scored
+/// unit, enumerates it with options.fallback inside one kFallback task
+/// window, passes every clique through MapExpandAndFilterClique and hands
+/// each survivor (sorted, original ids, valid only during the call) to
+/// `survivor`, records the filter metrics of levels >= 1, and fills the
+/// fallback fields of `stats` (cliques, analyze/block/busiest-worker
+/// seconds, analyze_threads). Returns the task's [begin_us, end_us]
+/// window, which is always timed.
+std::pair<int64_t, int64_t> RunFallbackTask(
+    const Graph& original, const reduce::ReductionMap* expansion,
+    const Graph& graph, uint32_t level, const std::vector<NodeId>& to_original,
+    const decomp::FindMaxCliquesOptions& options, const TaskSinks& sinks,
+    RunMetrics& metrics,
+    const std::function<void(std::span<const NodeId>)>& survivor,
+    decomp::LevelStats* stats);
 
 /// The ReduceTask: shared prepass driver for the executors. When
 /// options.reduce is set, Run() reduces `g` on the calling thread, emits
@@ -109,13 +184,12 @@ bool MapExpandAndFilterClique(const Graph& original,
 class ReducePrepass {
  public:
   /// Must be called once, before any pipeline task runs. `out` receives
-  /// the stats and the trivial-clique emission count. `profile` (may be
-  /// null) accumulates the prepass's counter delta under kReduce.
+  /// the stats and the trivial-clique emission count; the prepass is one
+  /// kReduce task window on `sinks`.
   void Run(const Graph& g, const decomp::FindMaxCliquesOptions& options,
-           obs::TraceRecorder* trace, RunMetrics& metrics,
+           const TaskSinks& sinks, RunMetrics& metrics,
            const decomp::LeveledCliqueCallback& emit,
-           decomp::StreamingStats* out,
-           obs::ProfileAccumulator* profile = nullptr);
+           decomp::StreamingStats* out);
 
   const Graph& pipeline_graph() const { return *graph_; }
   /// Null when reduction is off — safe to pass straight to
@@ -151,19 +225,24 @@ obs::TraceRecorder* ResolveTrace(const decomp::FindMaxCliquesOptions& options);
 obs::MetricsRegistry* ResolveMetrics(
     const decomp::FindMaxCliquesOptions& options);
 
+// Span builders: kind, level, index and args of each task's span. The
+// task's TaskWindow stamps the times and counters at Close().
+
+/// A DecomposeTask's kDecompose span: the level graph's size and its cut.
+obs::TraceEvent MakeDecomposeSpan(const decomp::LevelStats& stats,
+                                  uint32_t level);
+
 /// A finished BlockTask's kBlock span: kernel/border/visited sizes, clique
 /// count, and the MCE combination that ran, tagged with level and block
 /// index.
-obs::TraceEvent MakeBlockSpan(int64_t begin_us, int64_t end_us,
-                              const decomp::Block& block,
+obs::TraceEvent MakeBlockSpan(const decomp::Block& block,
                               const decomp::BlockAnalysisResult& result,
                               uint32_t level, uint64_t index);
 
 /// One kernel-range shard of a split BlockTask: a kBlockShard span tagged
 /// with the block it belongs to, the half-open kernel range it enumerated,
 /// its clique count, and the block's total shard count.
-obs::TraceEvent MakeBlockShardSpan(int64_t begin_us, int64_t end_us,
-                                   uint32_t level, uint64_t block_index,
+obs::TraceEvent MakeBlockShardSpan(uint32_t level, uint64_t block_index,
                                    const decomp::KernelRange& range,
                                    uint64_t cliques, uint64_t shards,
                                    const MceOptions& used);

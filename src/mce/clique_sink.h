@@ -12,8 +12,8 @@
 // ForRange(i, j) replays exactly the cliques appended as numbers [i, j), in
 // order, regardless of where flush boundaries fell. Appends are
 // single-writer per sink; reads may run concurrently from many threads
-// once all appends have finished (the engine's analysis-completion token
-// orders the two phases).
+// once all appends have finished (the engine submits a level's readers
+// only after its last writer task is done).
 //
 // Layering: this header knows nothing about the executors. The engine
 // fills one SpillConfig per run (directory, threshold, budget, trace,
@@ -54,9 +54,10 @@ class FlatCliques {
   }
 
   /// Copies verbatim, skipping the sort — for buffers whose reader
-  /// canonicalizes anyway (level >= 1 shard buffers feed MapAndFilter-
-  /// Clique, which sorts its output) or whose input already is canonical
-  /// (filter and fallback survivors are MapAndFilterClique output).
+  /// canonicalizes anyway (level >= 1 shard buffers feed
+  /// MapExpandAndFilterClique, which canonicalizes its output) or whose
+  /// input already is canonical (filter and fallback survivors are
+  /// MapExpandAndFilterClique output).
   void AppendRaw(std::span<const NodeId> c) {
     if (ids_.capacity() == 0) {
       // First touch: skip the early doubling steps. Most arenas are

@@ -72,7 +72,7 @@ TEST(MaxCliqueFinderTest, InvalidRatioRejected) {
 TEST(MaxCliqueFinderTest, InvalidMinAdjacencyRejected) {
   MaxCliqueFinder::Options options;
   options.block_size = 10;
-  options.min_adjacency = 0;
+  options.pipeline.min_adjacency = 0;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(mce::test::PathGraph(4));
   EXPECT_FALSE(result.ok());
@@ -86,7 +86,7 @@ TEST(MaxCliqueFinderTest, FixedComboPathIsCorrect) {
     MaxCliqueFinder::Options options;
     options.block_size = 12;
     options.use_decision_tree = false;
-    options.fixed_combo = {Algorithm::kXPivot, s};
+    options.pipeline.fixed = {Algorithm::kXPivot, s};
     MaxCliqueFinder finder(options);
     Result<FindResult> result = finder.Find(g);
     ASSERT_TRUE(result.ok());
@@ -101,7 +101,7 @@ TEST(MaxCliqueFinderTest, CustomTreeIsUsed) {
       MceOptions{Algorithm::kTomita, StorageKind::kBitset});
   MaxCliqueFinder::Options options;
   options.block_size = 15;
-  options.custom_tree = &always_bitset;
+  options.pipeline.tree = &always_bitset;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(g);
   ASSERT_TRUE(result.ok());

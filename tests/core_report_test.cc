@@ -57,7 +57,7 @@ TEST(RunReportJsonTest, ReductionObjectReflectsThePrepass) {
   Graph g = b.Build();
   MaxCliqueFinder::Options options;
   options.block_size = 8;
-  options.reduce = true;
+  options.pipeline.reduce = true;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(g);
   ASSERT_TRUE(result.ok());
@@ -69,7 +69,7 @@ TEST(RunReportJsonTest, ReductionObjectReflectsThePrepass) {
   EXPECT_NE(json.find("\"rounds\":"), std::string::npos) << json;
   // And with the prepass off, the object is present but disabled — the
   // schema is stable for consumers either way.
-  options.reduce = false;
+  options.pipeline.reduce = false;
   Result<FindResult> off = MaxCliqueFinder(options).Find(g);
   ASSERT_TRUE(off.ok());
   EXPECT_NE(RunReportJson(*off).find("\"reduction\":{\"enabled\":false"),
@@ -83,8 +83,8 @@ TEST(RunReportJsonTest, SerialRunReportsOneAnalyzeThread) {
   Graph g = gen::BarabasiAlbert(60, 3, &rng);
   MaxCliqueFinder::Options options;
   options.block_size = 15;
-  options.num_threads = 1;
-  options.executor = decomp::ExecutorKind::kSerial;
+  options.pipeline.num_threads = 1;
+  options.pipeline.executor = decomp::ExecutorKind::kSerial;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(g);
   ASSERT_TRUE(result.ok());

@@ -83,7 +83,7 @@ TEST(PlanShardCountTest, ClampsToKernelCount) {
 }
 
 TEST(PlanShardCountTest, ExactThresholdBoundaries) {
-  // cost == max_cost sits on the no-split side of the comparison; the
+  // cost == max_cost sits on the unsplit side of the comparison; the
   // first representable cost above it crosses to two shards.
   EXPECT_EQ(PlanShardCount(1000.0, 1000.0, 16), 1u);
   EXPECT_EQ(PlanShardCount(std::nextafter(1000.0, 2000.0), 1000.0, 16), 2u);

@@ -469,8 +469,8 @@ TEST(ShardIdentityTest, SocialStandInForcedSplitMatchesSerial) {
 }
 
 // The degenerate cases: a threshold nothing crosses (every block is a
-// single shard) and splitting disabled outright must both behave exactly
-// like the pre-shard executor.
+// single shard) and splitting switched off with max_block_cost = 0 must
+// both behave exactly like the pre-shard executor.
 TEST(ShardIdentityTest, SingleShardAndNoSplitAreByteIdentical) {
   Rng rng(113);
   const Graph g = gen::BarabasiAlbert(70, 4, &rng);
@@ -481,8 +481,7 @@ TEST(ShardIdentityTest, SingleShardAndNoSplitAreByteIdentical) {
   decomp::FindMaxCliquesOptions huge = options;
   huge.max_block_cost = 1e18;  // nothing splits
   decomp::FindMaxCliquesOptions off = options;
-  off.split_blocks = false;  // --no-split
-  off.max_block_cost = 1.0;  // would shatter everything if honored
+  off.max_block_cost = 0;  // --max-block-cost 0: never split
   for (uint32_t threads : {2u, 4u}) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
     const Captured unsplit =

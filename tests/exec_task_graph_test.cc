@@ -70,27 +70,35 @@ TEST(ComposeToOriginalTest, ComposesThroughParentIds) {
   EXPECT_EQ(ComposeToOriginal(base, to_parent), (std::vector<NodeId>{40, 20}));
 }
 
-TEST(MapAndFilterCliqueTest, LevelZeroSortsAndAlwaysKeeps) {
+// Without a reduction map the per-clique body only translates, sorts and
+// filters.
+TEST(MapExpandAndFilterCliqueTest, NullExpansionLevelZeroSortsAndAlwaysKeeps) {
   Graph triangle = gen::Complete(3);
+  Clique scratch;
   Clique out;
   const std::vector<NodeId> ids = {2, 0};
   // {0, 2} is not maximal in the triangle, but level-0 cliques are maximal
   // by construction and must not be re-filtered.
-  EXPECT_TRUE(MapAndFilterClique(triangle, ids, {}, 0, &out));
+  EXPECT_TRUE(MapExpandAndFilterClique(triangle, ids, {}, 0, nullptr,
+                                       &scratch, &out));
   EXPECT_EQ(out, (Clique{0, 2}));
 }
 
-TEST(MapAndFilterCliqueTest, DeeperLevelsApplyLemmaOne) {
+TEST(MapExpandAndFilterCliqueTest, NullExpansionDeeperLevelsApplyLemmaOne) {
   Graph triangle = gen::Complete(3);
   const std::vector<NodeId> to_original = {2, 0, 1};
+  Clique scratch;
   Clique out;
   // Level ids {0, 1} -> original {2, 0}: extendable by node 1 -> dropped.
-  EXPECT_FALSE(MapAndFilterClique(triangle, std::vector<NodeId>{0, 1},
-                                  to_original, 1, &out));
+  EXPECT_FALSE(MapExpandAndFilterClique(triangle, std::vector<NodeId>{0, 1},
+                                        to_original, 1, nullptr, &scratch,
+                                        &out));
   // The full triangle survives, translated and sorted.
-  EXPECT_TRUE(MapAndFilterClique(triangle, std::vector<NodeId>{1, 2, 0},
-                                 to_original, 1, &out));
+  EXPECT_TRUE(MapExpandAndFilterClique(triangle, std::vector<NodeId>{1, 2, 0},
+                                       to_original, 1, nullptr, &scratch,
+                                       &out));
   EXPECT_EQ(out, (Clique{0, 1, 2}));
+  EXPECT_TRUE(scratch.empty());  // nothing to expand, scratch untouched
 }
 
 TEST(BuildBlocksStreamingTest, EmissionOrderMatchesBatchBuild) {

@@ -1,6 +1,7 @@
 // The executors and the trace recorder must agree: LevelStats'
 // span-derived timings (decompose/analyze/overlap/idle) are recomputable
-// from the exported spans, and the metrics registry reflects the workload.
+// from the exported spans, the counter profile is recomputable from the
+// spans' counter args, and the metrics registry reflects the workload.
 
 #include <algorithm>
 #include <cstdint>
@@ -197,6 +198,70 @@ TEST(ExecTraceTest, TracedRunsKeepEmissionIdentical) {
   obs::TraceRecorder recorder;
   EXPECT_EQ(run_cliques(&recorder), run_cliques(nullptr));
   EXPECT_FALSE(recorder.Events().empty());
+}
+
+// Trace spans and profile buckets come from the same task windows, so per
+// span kind the profile's span count is the number of trace spans of that
+// kind and its counters are the sums of those spans' counter args — on
+// both engines, with the reduce prepass and on the m-core fallback.
+TEST(ExecTraceTest, ProfileAndTraceAgreePerTaskKind) {
+  struct Input {
+    const char* name;
+    Graph graph;
+    uint32_t m;
+    bool reduce;
+    obs::SpanKind must_see;
+  };
+  Rng rng(59);
+  const Graph social = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
+  const Input inputs[] = {
+      {"plain", social, 40, false, obs::SpanKind::kBlock},
+      {"reduce", social, 40, true, obs::SpanKind::kReduce},
+      {"fallback", gen::ErdosRenyiGnp(40, 0.5, &rng), 5, false,
+       obs::SpanKind::kFallback},
+  };
+  struct Sums {
+    uint64_t spans = 0;
+    uint64_t cycles = 0;
+    uint64_t instructions = 0;
+    uint64_t task_clock_ns = 0;
+  };
+  for (const Input& input : inputs) {
+    for (const uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << input.name << " threads " << threads);
+      obs::TraceRecorder recorder;
+      decomp::FindMaxCliquesOptions options;
+      options.max_block_size = input.m;
+      options.reduce = input.reduce;
+      options.executor = threads == 1 ? decomp::ExecutorKind::kSerial
+                                      : decomp::ExecutorKind::kPooled;
+      options.num_threads = threads;
+      options.trace = &recorder;
+      options.profile = true;
+      const decomp::StreamingStats stats = decomp::FindMaxCliquesStreaming(
+          input.graph, options, [](std::span<const NodeId>, uint32_t) {});
+      std::map<obs::SpanKind, Sums> traced;
+      for (const obs::TraceEvent& e : recorder.Events()) {
+        Sums& sums = traced[e.kind];
+        ++sums.spans;
+        sums.cycles += e.prof.cycles;
+        sums.instructions += e.prof.instructions;
+        sums.task_clock_ns += e.prof.task_clock_ns;
+      }
+      EXPECT_TRUE(traced.count(input.must_see) > 0);
+      ASSERT_TRUE(stats.profile.enabled);
+      EXPECT_EQ(stats.profile.by_kind.size(), traced.size());
+      for (const auto& [value, bucket] : stats.profile.by_kind) {
+        const obs::SpanKind kind = static_cast<obs::SpanKind>(value);
+        SCOPED_TRACE(obs::ToString(kind));
+        const Sums& sums = traced[kind];
+        EXPECT_EQ(bucket.spans, sums.spans);
+        EXPECT_EQ(bucket.counters.cycles, sums.cycles);
+        EXPECT_EQ(bucket.counters.instructions, sums.instructions);
+        EXPECT_EQ(bucket.counters.task_clock_ns, sums.task_clock_ns);
+      }
+    }
+  }
 }
 
 }  // namespace

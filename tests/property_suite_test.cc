@@ -39,7 +39,7 @@ TEST_P(PipelineRatioPolicyTest, CompleteOnScaleFreeGraph) {
                                       4, 12, true, &rng);
   MaxCliqueFinder::Options options;
   options.block_size_ratio = ratio;
-  options.seed_policy = policy;
+  options.pipeline.seed_policy = policy;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(g);
   ASSERT_TRUE(result.ok());
@@ -82,7 +82,7 @@ TEST_P(PipelineFixedComboTest, CompleteAtSmallBlockSize) {
   MaxCliqueFinder::Options options;
   options.block_size = 16;
   options.use_decision_tree = false;
-  options.fixed_combo = {algorithm, storage};
+  options.pipeline.fixed = {algorithm, storage};
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(g);
   ASSERT_TRUE(result.ok());

@@ -241,6 +241,7 @@ int CmdEnumerate(const Flags& flags) {
     return 1;
   }
   mce::MaxCliqueFinder::Options options;
+  mce::decomp::FindMaxCliquesOptions& pipeline = options.pipeline;
   if (flags.Has("m")) {
     options.block_size = static_cast<uint32_t>(flags.GetInt("m", 0));
   } else {
@@ -260,25 +261,25 @@ int CmdEnumerate(const Flags& flags) {
                  threads, hw, 4 * hw);
     threads = static_cast<int>(4 * hw);
   }
-  options.num_threads = static_cast<uint32_t>(threads);
-  // --max-block-cost C / --no-split: cost-guided BlockTask splitting on
-  // the pooled executor (the clique output is identical either way).
-  options.max_block_cost =
-      flags.GetDouble("max-block-cost", options.max_block_cost);
-  if (flags.GetBool("no-split")) options.split_blocks = false;
+  pipeline.num_threads = static_cast<uint32_t>(threads);
+  // --max-block-cost C: cost-guided BlockTask splitting on the pooled
+  // executor; 0 keeps blocks whole (the clique output is identical either
+  // way).
+  pipeline.max_block_cost =
+      flags.GetDouble("max-block-cost", pipeline.max_block_cost);
   // --reduce / --no-reduce: graph-reduction prepass (strip simplicial /
   // degree<=1 vertices, fold true twins) before the pipeline. The clique
   // output is identical either way; --no-reduce wins if both are given.
-  if (flags.GetBool("reduce")) options.reduce = true;
-  if (flags.GetBool("no-reduce")) options.reduce = false;
+  if (flags.GetBool("reduce")) pipeline.reduce = true;
+  if (flags.GetBool("no-reduce")) pipeline.reduce = false;
   // --executor serial|pooled|cluster: which execution engine runs the
   // pipeline. "cluster" routes through the simulated-cluster executor
   // (like --workers); the default picks serial or pooled by --threads.
   const std::string executor = flags.Get("executor", "");
   if (executor == "serial") {
-    options.executor = mce::decomp::ExecutorKind::kSerial;
+    pipeline.executor = mce::decomp::ExecutorKind::kSerial;
   } else if (executor == "pooled") {
-    options.executor = mce::decomp::ExecutorKind::kPooled;
+    pipeline.executor = mce::decomp::ExecutorKind::kPooled;
   } else if (executor == "cluster") {
     options.simulate_cluster = true;
   } else if (!executor.empty()) {
@@ -298,7 +299,7 @@ int CmdEnumerate(const Flags& flags) {
                    bytes.status().ToString().c_str());
       return 1;
     }
-    options.memory_budget_bytes = *bytes;
+    pipeline.memory_budget_bytes = *bytes;
   }
   if (flags.Has("spill-threshold")) {
     Result<uint64_t> bytes =
@@ -308,15 +309,15 @@ int CmdEnumerate(const Flags& flags) {
                    bytes.status().ToString().c_str());
       return 1;
     }
-    options.spill_threshold_bytes = *bytes;
+    pipeline.spill_threshold_bytes = *bytes;
   }
-  options.spill_dir = flags.Get("spill-dir", "");
+  pipeline.spill_dir = flags.Get("spill-dir", "");
   // --perf-counters: per-task hardware-counter profiling. Every pipeline
   // task reads cycle/instruction/miss deltas via perf_event_open (or the
   // software task clock when the syscall is unavailable, e.g. in
   // containers); the attribution lands in the report ("profile" in
   // --json) and as args on --trace-out spans.
-  if (flags.GetBool("perf-counters")) options.profile = true;
+  if (flags.GetBool("perf-counters")) pipeline.profile = true;
   if (flags.Has("workers")) {
     options.simulate_cluster = true;
     options.cluster.num_workers = flags.GetInt("workers", 10);
@@ -344,7 +345,7 @@ int CmdEnumerate(const Flags& flags) {
       !telemetry.out_path.empty() || telemetry.tty_progress;
   mce::obs::TelemetrySampler sampler(&progress, telemetry);
   if (want_telemetry) {
-    options.progress = &progress;
+    pipeline.progress = &progress;
     if (!sampler.Start()) return 1;
   }
   mce::MaxCliqueFinder finder(options);
@@ -543,8 +544,8 @@ void Usage() {
       "              [--threads T]  (analysis threads; 0 = all cores)\n"
       "              [--executor serial|pooled|cluster]  (engine choice)\n"
       "              [--max-block-cost C]  (split blocks predicted above C\n"
-      "                                     into kernel-range shards)\n"
-      "              [--no-split]          (keep BlockTasks indivisible)\n"
+      "                                     into kernel-range shards;\n"
+      "                                     0 keeps BlockTasks whole)\n"
       "              [--reduce | --no-reduce]  (graph-reduction prepass:\n"
       "                                     strip simplicial vertices and\n"
       "                                     fold true twins; same cliques)\n"
@@ -605,7 +606,6 @@ int main(int argc, char** argv) {
                    {"threads", FlagType::kInt, 0},
                    {"executor"},
                    {"max-block-cost", FlagType::kDouble},
-                   {"no-split", FlagType::kBool},
                    {"reduce", FlagType::kBool},
                    {"no-reduce", FlagType::kBool},
                    {"memory-budget"},
