@@ -147,6 +147,10 @@ struct LevelRun {
   // sinks; delivery walks the sinks in chunk order.
   std::vector<const CliqueSink*> filter_sinks;
   size_t filter_total = 0;
+  /// The level's Lemma-1 index: built (and charged) by PlanFilter or the
+  /// level-(>= 1) fallback, read concurrently by the chunks, released by
+  /// the level's last chunk.
+  decomp::LevelFilterIndex filter_index;
   std::vector<std::unique_ptr<CliqueSink>> filter_out;
   size_t filter_chunks_left = 0;
 
@@ -311,13 +315,15 @@ class PooledEngine {
       lr->decompose_end_us = window.Stop();
       CloseDecompose(lr, window);
       lr->fallback_cliques = MakeCliqueSink(&lr->spill);
+      if (lr->level > 0) BuildFilterIndex(lr);
       lr->fallback_span = RunFallbackTask(
-          original_, expansion_, graph, lr->level, lr->to_original, options_,
-          sinks_, metrics_,
+          lr->level > 0 ? &lr->filter_index : nullptr, expansion_, graph,
+          lr->level, lr->to_original, options_, sinks_, metrics_,
           [lr](std::span<const NodeId> c) {
             lr->fallback_cliques->AppendRaw(c);
           },
           &lr->stats);
+      ReleaseFilterIndex(lr);
       {
         std::lock_guard<std::mutex> lock(mu_);
         lr->ready = true;
@@ -595,6 +601,9 @@ class PooledEngine {
       const std::vector<std::pair<size_t, size_t>> chunks =
           FilterChunks(total, pool_.num_threads());
       if (!chunks.empty()) {
+        // Built once here, before any chunk is submitted; the chunks only
+        // read it.
+        BuildFilterIndex(lr);
         lr->filter_out.reserve(chunks.size());
         for (size_t c = 0; c < chunks.size(); ++c) {
           lr->filter_out.push_back(MakeCliqueSink(&lr->spill));
@@ -631,8 +640,8 @@ class PooledEngine {
     uint64_t kept = 0;
     decomp::ForEachCliqueInRange(
         lr->filter_sinks, begin, end, [&](std::span<const NodeId> c) {
-          if (MapExpandAndFilterClique(original_, c, lr->to_original,
-                                       lr->level, expansion_, &expand_scratch,
+          if (MapExpandAndFilterClique(c, lr->to_original, expansion_,
+                                       &lr->filter_index, &expand_scratch,
                                        &scratch)) {
             out.AppendRaw(scratch);
             ++kept;
@@ -654,9 +663,32 @@ class PooledEngine {
       std::lock_guard<std::mutex> lock(mu_);
       lr->filter_spans.emplace_back(window.begin_us(), window.Stop());
       done = --lr->filter_chunks_left == 0;
-      if (done) lr->ready = true;
     }
-    if (done) cv_.notify_all();
+    if (!done) return;
+    // Every other chunk finished reading the index before the decrement
+    // this thread observed; the level turns ready only once it is freed.
+    ReleaseFilterIndex(lr);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      lr->ready = true;
+    }
+    cv_.notify_all();
+  }
+
+  /// Builds the level's filter index from its graph and id mapping (both
+  /// stable until delivery), with bit rows only where they fit the
+  /// budget's headroom, and charges it to the budget.
+  void BuildFilterIndex(LevelRun* lr) {
+    lr->filter_index =
+        decomp::LevelFilterIndex(original_, *lr->graph, lr->to_original,
+                                 expansion_, budget_.Headroom());
+    ChargeTracked(lr->filter_index.ResidentBytes());
+  }
+
+  /// Frees the level's filter index and releases its charge.
+  void ReleaseFilterIndex(LevelRun* lr) {
+    ReleaseTracked(lr->filter_index.ResidentBytes());
+    lr->filter_index = decomp::LevelFilterIndex();
   }
 
   /// Calling thread only. Emits the level's cliques, replays the observer

@@ -64,6 +64,10 @@ decomp::StreamingStats RunSerial(const Graph& g,
   charge(pipeline_graph_bytes);
   uint64_t level_graph_bytes = 0;  // the current owned level graph
   Graph owned;  // deeper levels own the hub-induced subgraph
+  // Levels >= 1 filter through their LevelFilterIndex, built right after
+  // the level is induced and released before the next Induce.
+  decomp::LevelFilterIndex index;
+  const decomp::LevelFilterIndex* filter = nullptr;  // null at level 0
   std::vector<NodeId> to_original;  // empty means identity (level 0)
   uint32_t level = 0;
   Clique scratch;
@@ -81,7 +85,7 @@ decomp::StreamingStats RunSerial(const Graph& g,
   };
   auto deliver = [&](std::span<const NodeId> c) {
     const bool kept = MapExpandAndFilterClique(
-        g, c, to_original, level, expansion, &expand_scratch, &scratch);
+        c, to_original, expansion, filter, &expand_scratch, &scratch);
     // Level 0 needs no maximality check, so only deeper levels count as
     // filter work.
     if (level > 0) metrics.RecordFilter(1, kept ? 1 : 0);
@@ -123,8 +127,8 @@ decomp::StreamingStats RunSerial(const Graph& g,
       out.used_fallback = true;
       stats.decompose_seconds = segment.ElapsedSeconds();
       close_decompose();
-      RunFallbackTask(g, expansion, *current, level, to_original, options,
-                      sinks, metrics, emit_survivor, &stats);
+      RunFallbackTask(filter, expansion, *current, level, to_original,
+                      options, sinks, metrics, emit_survivor, &stats);
       out.levels.push_back(stats);
       if (progress != nullptr) progress->FinishLevel(level);
       break;
@@ -194,7 +198,11 @@ decomp::StreamingStats RunSerial(const Graph& g,
 
     if (cut.hubs.empty()) break;
 
-    // Recursive step: continue on the hub-induced subgraph.
+    // Recursive step: continue on the hub-induced subgraph. The level's
+    // filter index is dead once its blocks are done, so it is released
+    // before the child is induced and never overlaps the child's charges.
+    budget.Release(index.ResidentBytes());
+    index = decomp::LevelFilterIndex();
     InducedSubgraph sub = Induce(*current, cut.hubs);
     to_original = ComposeToOriginal(to_original, sub.to_parent);
     // Parent and child graphs overlap until the move below frees the
@@ -206,6 +214,10 @@ decomp::StreamingStats RunSerial(const Graph& g,
     level_graph_bytes = next_graph_bytes;
     current = &owned;
     ++level;
+    index = decomp::LevelFilterIndex(g, owned, to_original, expansion,
+                                     budget.Headroom());
+    charge(index.ResidentBytes());
+    filter = &index;
   }
   out.memory.budget_bytes = budget.limit();
   out.memory.peak_tracked_bytes = budget.peak();

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "decision/block_cost.h"
-#include "decomp/filter.h"
 #include "mce/storage.h"
 
 namespace mce::exec {
@@ -58,17 +57,14 @@ std::vector<NodeId> ComposeToOriginal(const std::vector<NodeId>& to_original,
   return composed;
 }
 
-bool MapExpandAndFilterClique(const Graph& original,
-                              std::span<const NodeId> level_ids,
+bool MapExpandAndFilterClique(std::span<const NodeId> level_ids,
                               const std::vector<NodeId>& to_original,
-                              uint32_t level,
                               const reduce::ReductionMap* expansion,
+                              const decomp::LevelFilterIndex* index,
                               Clique* scratch, Clique* out) {
   // Translate level ids to pipeline-graph ids: straight into `out` when
   // there is nothing to expand, else into `scratch`, from which the twin
-  // classes expand into sorted original ids — either way the Lemma-1
-  // check below sees the same original-id cliques it would without the
-  // prepass.
+  // classes expand into sorted original ids.
   const bool expand = expansion != nullptr && expansion->active();
   Clique* const mapped = expand ? scratch : out;
   mapped->clear();
@@ -83,7 +79,7 @@ bool MapExpandAndFilterClique(const Graph& original,
   } else {
     std::sort(out->begin(), out->end());
   }
-  return level == 0 || decomp::IsMaximalInGraph(original, *out);
+  return index == nullptr || index->IsMaximal(level_ids, *out);
 }
 
 TaskWindow::TaskWindow(const TaskSinks& sinks, bool clocked)
@@ -122,8 +118,9 @@ obs::CounterDelta TaskWindow::Close(obs::TraceEvent e, double seconds,
 }
 
 std::pair<int64_t, int64_t> RunFallbackTask(
-    const Graph& original, const reduce::ReductionMap* expansion,
-    const Graph& graph, uint32_t level, const std::vector<NodeId>& to_original,
+    const decomp::LevelFilterIndex* index,
+    const reduce::ReductionMap* expansion, const Graph& graph, uint32_t level,
+    const std::vector<NodeId>& to_original,
     const decomp::FindMaxCliquesOptions& options, const TaskSinks& sinks,
     RunMetrics& metrics,
     const std::function<void(std::span<const NodeId>)>& survivor,
@@ -145,8 +142,8 @@ std::pair<int64_t, int64_t> RunFallbackTask(
                           [&](std::span<const NodeId> c) {
                             ++produced;
                             if (MapExpandAndFilterClique(
-                                    original, c, to_original, level,
-                                    expansion, &expand_scratch, &scratch)) {
+                                    c, to_original, expansion, index,
+                                    &expand_scratch, &scratch)) {
                               ++kept;
                               survivor(scratch);
                             }

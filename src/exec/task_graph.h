@@ -10,7 +10,8 @@
 //                       its cliques.
 //   FilterTask(h, c)  = one chunk of the telescoped Lemma-1 maximality
 //                       checks over the level's buffered cliques (h >= 1;
-//                       level-0 cliques are maximal by construction).
+//                       level-0 cliques are maximal by construction),
+//                       answered from the level's shared LevelFilterIndex.
 //
 // Dependency edges:
 //   DecomposeTask(h+1) <- Cut(h)'s hub set only — NOT level h's clique
@@ -45,6 +46,7 @@
 #include "decomp/block.h"
 #include "decomp/block_analysis.h"
 #include "decomp/blocks.h"
+#include "decomp/filter.h"
 #include "decomp/find_max_cliques.h"
 #include "graph/graph.h"
 #include "mce/clique.h"
@@ -86,17 +88,17 @@ std::vector<NodeId> ComposeToOriginal(const std::vector<NodeId>& to_original,
 /// `to_original` (empty = identity) and canonicalizes them into *out —
 /// sorting, or, with the reduction prepass active, re-expanding the twin
 /// classes through `expansion` into original-graph ids (via *scratch) —
-/// and then applies the telescoped Lemma-1 filter against the true
-/// original graph: a clique from level >= 1 is kept iff it is maximal
-/// there. Returns true and leaves the survivor in *out; returns false when
-/// the expansion is covered by a trivial clique of the prepass (a
-/// reduction leak) or the clique fails the maximality check. A null or
-/// inactive `expansion` leaves *scratch untouched.
-bool MapExpandAndFilterClique(const Graph& original,
-                              std::span<const NodeId> level_ids,
+/// and then applies the telescoped Lemma-1 filter through the level's
+/// `index`: a clique from level >= 1 is kept iff it is maximal in the
+/// original graph; a null index (level 0) keeps every clique. Returns
+/// true and leaves the survivor in *out; returns false when the expansion
+/// is covered by a trivial clique of the prepass (a reduction leak) or
+/// the clique fails the maximality check. A null or inactive `expansion`
+/// leaves *scratch untouched.
+bool MapExpandAndFilterClique(std::span<const NodeId> level_ids,
                               const std::vector<NodeId>& to_original,
-                              uint32_t level,
                               const reduce::ReductionMap* expansion,
+                              const decomp::LevelFilterIndex* index,
                               Clique* scratch, Clique* out);
 
 /// Where a run's task windows report: the resolved trace recorder and the
@@ -160,15 +162,17 @@ class TaskWindow {
 /// no feasible node and is its own m-core), shared by both engines. It
 /// registers the graph with the progress estimator as one block-scored
 /// unit, enumerates it with options.fallback inside one kFallback task
-/// window, passes every clique through MapExpandAndFilterClique and hands
-/// each survivor (sorted, original ids, valid only during the call) to
-/// `survivor`, records the filter metrics of levels >= 1, and fills the
-/// fallback fields of `stats` (cliques, analyze/block/busiest-worker
-/// seconds, analyze_threads). Returns the task's [begin_us, end_us]
-/// window, which is always timed.
+/// window, passes every clique through MapExpandAndFilterClique with the
+/// level's filter `index` (null at level 0) and hands each survivor
+/// (sorted, original ids, valid only during the call) to `survivor`,
+/// records the filter metrics of levels >= 1, and fills the fallback
+/// fields of `stats` (cliques, analyze/block/busiest-worker seconds,
+/// analyze_threads). Returns the task's [begin_us, end_us] window, which
+/// is always timed.
 std::pair<int64_t, int64_t> RunFallbackTask(
-    const Graph& original, const reduce::ReductionMap* expansion,
-    const Graph& graph, uint32_t level, const std::vector<NodeId>& to_original,
+    const decomp::LevelFilterIndex* index,
+    const reduce::ReductionMap* expansion, const Graph& graph, uint32_t level,
+    const std::vector<NodeId>& to_original,
     const decomp::FindMaxCliquesOptions& options, const TaskSinks& sinks,
     RunMetrics& metrics,
     const std::function<void(std::span<const NodeId>)>& survivor,

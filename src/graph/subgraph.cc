@@ -62,13 +62,16 @@ InducedSubgraph Induce(const Graph& g, std::span<const NodeId> nodes) {
   if (!sorted.empty()) MCE_CHECK_LT(sorted.back(), g.num_nodes());
 
   std::vector<uint64_t> offsets(sorted.size() + 1, 0);
-  std::vector<NodeId> adjacency;
+  std::vector<NodeId> staged;
   for (NodeId local_u = 0; local_u < sorted.size(); ++local_u) {
-    AppendLocalRow(g.Neighbors(sorted[local_u]), sorted, &adjacency);
-    offsets[local_u + 1] = adjacency.size();
+    AppendLocalRow(g.Neighbors(sorted[local_u]), sorted, &staged);
+    offsets[local_u + 1] = staged.size();
   }
+  // The storage charges capacity, so the CSR gets an exactly sized copy
+  // rather than the growth slack of the staging vector.
   return InducedSubgraph{
-      Graph::FromSortedCsr(std::move(offsets), std::move(adjacency)),
+      Graph::FromSortedCsr(std::move(offsets),
+                           std::vector<NodeId>(staged.begin(), staged.end())),
       std::move(sorted)};
 }
 

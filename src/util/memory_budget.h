@@ -60,6 +60,14 @@ class MemoryBudget {
            charged_.load(std::memory_order_relaxed) + bytes > limit_;
   }
 
+  /// Bytes that can still be charged before the limit; UINT64_MAX when
+  /// unlimited. Advisory, like WouldExceed.
+  uint64_t Headroom() const {
+    if (limit_ == 0) return UINT64_MAX;
+    const uint64_t now = charged();
+    return now < limit_ ? limit_ - now : 0;
+  }
+
   uint64_t charged() const { return charged_.load(std::memory_order_relaxed); }
   uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
 

@@ -14,8 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include "decomp/blocks.h"
+#include "decomp/filter.h"
 #include "decomp/find_max_cliques.h"
 #include "exec/executor.h"
+#include "exec/task_graph.h"
 #include "gen/generators.h"
 #include "gen/social.h"
 #include "gen/special.h"
@@ -206,6 +209,105 @@ TEST(MemoryBudgetTest, SerialRunReportsPeakTrackedBytes) {
   EXPECT_EQ(run.stats.memory.budget_bytes, 1ull << 30);
   EXPECT_GT(run.stats.memory.peak_tracked_bytes, 0u);
   EXPECT_LE(run.stats.memory.peak_tracked_bytes, options.memory_budget_bytes);
+}
+
+/// The serial engine's tracked charges of one level h: its graph G_h
+/// (levels >= 1), its LevelFilterIndex (levels >= 1) and its largest
+/// block charge (materialized block plus analysis workspace; 0 for the
+/// m-core fallback).
+struct LevelCharges {
+  uint64_t graph = 0;
+  uint64_t index = 0;
+  uint64_t max_block = 0;
+};
+
+/// Prices every level of a reduce-off run at block size m the way the
+/// serial engine charges it.
+std::vector<LevelCharges> PriceLevels(const Graph& g,
+                                      const decomp::FindMaxCliquesOptions& o) {
+  std::vector<LevelCharges> levels;
+  for (const test::ChainLevel& level :
+       test::LevelChain(g, o.max_block_size)) {
+    LevelCharges charges;
+    if (!levels.empty()) {
+      charges.graph = level.graph.ResidentBytes();
+      charges.index =
+          decomp::LevelFilterIndex(g, level.graph, level.to_pipeline, nullptr)
+              .ResidentBytes();
+    }
+    for (const decomp::Block& block : decomp::BuildBlocks(
+             level.graph, level.cut.feasible, BlocksOptionsFor(o))) {
+      charges.max_block =
+          std::max(charges.max_block,
+                   block.EstimatedBytes() + EstimateAnalysisBytes(block));
+    }
+    levels.push_back(charges);
+  }
+  return levels;
+}
+
+// The serial engine charges each deeper level's filter index after the
+// level is induced and releases it before the next level's graph is
+// charged. Its peak is then exactly the largest of these live sets:
+// P + G_h + I_h + largest block of h, and P + G_h + G_(h+1) at each
+// transition (P = the input graph, G_0 = I_0 = 0).
+TEST(MemoryBudgetTest, SerialPeakChargesTheFilterIndex) {
+  const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.05));
+  decomp::FindMaxCliquesOptions options;
+  options.max_block_size = 30;
+  const std::vector<LevelCharges> levels = PriceLevels(g, options);
+  ASSERT_GE(levels.size(), 3u);
+  const uint64_t p = g.ResidentBytes();
+  uint64_t expected = 0;
+  uint64_t held = 0;  // the peak were I_h still held at G_(h+1)'s charge
+  for (size_t h = 0; h < levels.size(); ++h) {
+    const LevelCharges& l = levels[h];
+    expected = std::max(expected, p + l.graph + l.index + l.max_block);
+    if (h + 1 < levels.size()) {
+      expected = std::max(expected, p + l.graph + levels[h + 1].graph);
+      held = std::max(held, p + l.graph + l.index + levels[h + 1].graph);
+    }
+  }
+  ASSERT_GT(levels[1].index, 0u);
+  const Captured run = RunWith(g, options, decomp::ExecutorKind::kSerial, 1);
+  EXPECT_EQ(run.stats.levels.size(), levels.size());
+  EXPECT_EQ(run.stats.memory.peak_tracked_bytes, expected);
+  // The fixture tells the two lifetimes apart: holding an index across
+  // the next Induce would have raised the peak.
+  EXPECT_GT(held, expected);
+}
+
+// A budget below one level's filter index plus one block cannot admit the
+// two together. The engine builds bit rows only within the budget's
+// headroom and otherwise filters by merging neighbor lists; either way
+// the pooled engine finishes byte-identical to the unbudgeted serial
+// walk. The budgets: the index's bytes alone (below the input graph, so
+// never any headroom: the merge path), and the level-1 live set P + G_1 +
+// I_1 plus one byte less than its largest block (rows or not, depending
+// on what else is charged when the index is built).
+TEST(MemoryBudgetTest, BudgetBelowIndexPlusBlockStaysExact) {
+  const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.05));
+  decomp::FindMaxCliquesOptions options;
+  options.max_block_size = 30;
+  const std::vector<LevelCharges> levels = PriceLevels(g, options);
+  ASSERT_GE(levels.size(), 2u);
+  ASSERT_GT(levels[1].index, 0u);
+  ASSERT_GT(levels[1].max_block, 0u);
+  const Captured baseline =
+      RunWith(g, options, decomp::ExecutorKind::kSerial, 1);
+  options.spill_dir = testing::TempDir();
+  for (const uint64_t budget :
+       {levels[1].index, g.ResidentBytes() + levels[1].graph +
+                             levels[1].index + levels[1].max_block - 1}) {
+    options.memory_budget_bytes = budget;
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "budget " << budget << " threads "
+                                      << threads);
+      ExpectIdenticalEmission(
+          RunWith(g, options, decomp::ExecutorKind::kPooled, threads),
+          baseline);
+    }
+  }
 }
 
 // Regression: cross-level pipelining can put every pool worker inside a

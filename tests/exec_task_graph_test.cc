@@ -1,6 +1,7 @@
 #include "exec/task_graph.h"
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -78,27 +79,33 @@ TEST(MapExpandAndFilterCliqueTest, NullExpansionLevelZeroSortsAndAlwaysKeeps) {
   Clique out;
   const std::vector<NodeId> ids = {2, 0};
   // {0, 2} is not maximal in the triangle, but level-0 cliques are maximal
-  // by construction and must not be re-filtered.
-  EXPECT_TRUE(MapExpandAndFilterClique(triangle, ids, {}, 0, nullptr,
-                                       &scratch, &out));
+  // by construction: no index means no re-filtering.
+  EXPECT_TRUE(MapExpandAndFilterClique(ids, {}, nullptr, nullptr, &scratch,
+                                       &out));
   EXPECT_EQ(out, (Clique{0, 2}));
 }
 
 TEST(MapExpandAndFilterCliqueTest, NullExpansionDeeperLevelsApplyLemmaOne) {
   Graph triangle = gen::Complete(3);
   const std::vector<NodeId> to_original = {2, 0, 1};
-  Clique scratch;
-  Clique out;
-  // Level ids {0, 1} -> original {2, 0}: extendable by node 1 -> dropped.
-  EXPECT_FALSE(MapExpandAndFilterClique(triangle, std::vector<NodeId>{0, 1},
-                                        to_original, 1, nullptr, &scratch,
-                                        &out));
-  // The full triangle survives, translated and sorted.
-  EXPECT_TRUE(MapExpandAndFilterClique(triangle, std::vector<NodeId>{1, 2, 0},
-                                       to_original, 1, nullptr, &scratch,
-                                       &out));
-  EXPECT_EQ(out, (Clique{0, 1, 2}));
-  EXPECT_TRUE(scratch.empty());  // nothing to expand, scratch untouched
+  // With bit rows, and without them (no headroom): the merge path.
+  for (const uint64_t headroom : {UINT64_MAX, uint64_t{0}}) {
+    const decomp::LevelFilterIndex index(triangle, triangle, to_original,
+                                         nullptr, headroom);
+    ASSERT_EQ(index.has_rows(), headroom != 0);
+    Clique scratch;
+    Clique out;
+    // Level ids {0, 1} -> original {2, 0}: extendable by node 1 -> dropped.
+    EXPECT_FALSE(MapExpandAndFilterClique(std::vector<NodeId>{0, 1},
+                                          to_original, nullptr, &index,
+                                          &scratch, &out));
+    // The full triangle survives, translated and sorted.
+    EXPECT_TRUE(MapExpandAndFilterClique(std::vector<NodeId>{1, 2, 0},
+                                         to_original, nullptr, &index,
+                                         &scratch, &out));
+    EXPECT_EQ(out, (Clique{0, 1, 2}));
+    EXPECT_TRUE(scratch.empty());  // nothing to expand, scratch untouched
+  }
 }
 
 TEST(BuildBlocksStreamingTest, EmissionOrderMatchesBatchBuild) {

@@ -207,6 +207,24 @@ Graph HubHeavyGraph(NodeId n, NodeId hubs, Rng* rng) {
   return b.Build();
 }
 
+// Budgeted runs charge an induced level graph's ResidentBytes(), which
+// counts vector capacity: both overloads must hand over exactly sized CSR
+// arrays, not the growth slack of their staging buffers.
+TEST(InduceTest, ResidentBytesAreExactlyTheCsr) {
+  Rng rng(17);
+  const Graph g = HubHeavyGraph(400, 2, &rng);
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v < g.num_nodes(); v += 3) nodes.push_back(v);
+  InduceScratch scratch(g.num_nodes());
+  for (const InducedSubgraph& sub :
+       {Induce(g, nodes), Induce(g, nodes, &scratch)}) {
+    const uint64_t n = sub.graph.num_nodes();
+    const uint64_t m = sub.graph.num_edges();
+    ASSERT_GT(m, 0u);
+    EXPECT_EQ(sub.graph.ResidentBytes(), (n + 1) * 8 + 2 * m * 4);
+  }
+}
+
 TEST(InduceTest, BothPathsMatchNaiveReference) {
   Rng rng(13);
   const NodeId n = 2000;

@@ -208,7 +208,10 @@ TEST(CriticalPathIntegrationTest, SerialAndPooledTracesCoverTheWall) {
        {decomp::ExecutorKind::kSerial, decomp::ExecutorKind::kPooled}) {
     TraceRecorder recorder;
     decomp::FindMaxCliquesOptions options;
-    options.max_block_size = 10;
+    // At m = 30 this stand-in decomposes over four levels with blocks on
+    // each, so the checks below meet BlockTasks and (pooled) FilterTasks,
+    // not just one DecomposeTask and the m-core fallback.
+    options.max_block_size = 30;
     options.executor = kind;
     options.num_threads = 4;
     options.trace = &recorder;
@@ -221,6 +224,17 @@ TEST(CriticalPathIntegrationTest, SerialAndPooledTracesCoverTheWall) {
     const std::vector<TaskSpan> spans =
         TaskSpansFromEvents(recorder.Events());
     ASSERT_FALSE(spans.empty());
+    ASSERT_GE(stats.levels.size(), 2u);
+    size_t block_spans = 0;
+    size_t filter_spans = 0;
+    for (const TaskSpan& s : spans) {
+      if (s.kind == SpanKind::kBlock && s.level >= 1) ++block_spans;
+      if (s.kind == SpanKind::kFilter) ++filter_spans;
+    }
+    EXPECT_GT(block_spans, 0u) << "no level >= 1 BlockTask span";
+    if (kind == decomp::ExecutorKind::kPooled) {
+      EXPECT_GT(filter_spans, 0u) << "no FilterTask span";
+    }
     for (const TaskSpan& s : spans) {
       EXPECT_NE(s.prof.source, CounterSource::kNone)
           << "unprofiled DAG span of kind "

@@ -4,12 +4,16 @@
 #ifndef MCE_TESTS_TEST_UTIL_H_
 #define MCE_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "decomp/cut.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
+#include "graph/subgraph.h"
 #include "mce/clique.h"
 #include "mce/naive.h"
 
@@ -101,6 +105,37 @@ inline void ExpectSameCliques(CliqueSet& actual, CliqueSet& expected) {
 inline void ExpectMatchesNaive(const Graph& g, CliqueSet& actual) {
   CliqueSet expected = NaiveMceSet(g);
   ExpectSameCliques(actual, expected);
+}
+
+/// One level of the FIND-MAX-CLIQUES recursion, rebuilt outside the
+/// engines from Cut and Induce: the level graph, its level id -> pipeline
+/// id map (empty = identity, level 0) and its cut.
+struct ChainLevel {
+  Graph graph;
+  std::vector<NodeId> to_pipeline;
+  decomp::CutResult cut;
+};
+
+/// The level chain the engines walk on `pipeline` at block size m, level 0
+/// first. It ends at a level without hubs, or at one without a feasible
+/// node, which the engines enumerate whole as the m-core fallback.
+inline std::vector<ChainLevel> LevelChain(const Graph& pipeline, uint32_t m) {
+  std::vector<ChainLevel> levels;
+  levels.push_back({pipeline, {}, decomp::Cut(pipeline, m)});
+  for (;;) {
+    const ChainLevel& last = levels.back();
+    if (last.cut.hubs.empty() || last.cut.feasible.empty()) break;
+    InducedSubgraph sub = Induce(last.graph, last.cut.hubs);
+    std::vector<NodeId> to_pipeline;
+    for (NodeId v : sub.to_parent) {
+      to_pipeline.push_back(last.to_pipeline.empty() ? v
+                                                     : last.to_pipeline[v]);
+    }
+    decomp::CutResult cut = decomp::Cut(sub.graph, m);
+    levels.push_back({std::move(sub.graph), std::move(to_pipeline),
+                      std::move(cut)});
+  }
+  return levels;
 }
 
 }  // namespace mce::test
