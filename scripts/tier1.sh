@@ -97,7 +97,7 @@ fi
 if [[ "${MCE_SKIP_UBSAN:-0}" == "1" ]]; then
   echo "=== tier-1: UBSan leg skipped (MCE_SKIP_UBSAN=1) ==="
 else
-  # UBSan leg: the graph, decomposition, engine and allocation-guard
+  # UBSan leg: the graph, reduction, decomposition, engine and allocation-guard
   # subset under UndefinedBehaviorSanitizer. Dense id arrays with in-band
   # sentinels, galloping cursors and CSR offset arithmetic are where a
   # signed overflow, a bad shift or an out-of-range pointer would hide;
@@ -109,13 +109,13 @@ else
     -DMCE_BUILD_BENCH=OFF \
     -DMCE_BUILD_EXAMPLES=OFF
   cmake --build "$ubsan_build" -j "$(nproc)" \
-    --target graph_test decomp_test exec_test mce_alloc_test
+    --target graph_test decomp_test exec_test mce_alloc_test reduce_test
 
   echo "=== tier-1: UBSan run (graph_test, decomp_test, exec_test," \
-       "mce_alloc_test) ==="
+       "mce_alloc_test, reduce_test) ==="
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir "$ubsan_build" --output-on-failure -j "$(nproc)" \
-    -R '^(graph_test|decomp_test|exec_test|mce_alloc_test)$'
+    -R '^(graph_test|decomp_test|exec_test|mce_alloc_test|reduce_test)$'
 fi
 
 # Trace leg: run the CLI on a small social graph with tracing on and

@@ -115,6 +115,12 @@ void BuildBlocksStreaming(const Graph& g, const std::vector<NodeId>& feasible,
       // select(N_f n H): the candidate with the most kernel adjacencies,
       // ties to the smaller id. The scan drops candidates promoted or
       // found infeasible since the last one.
+      //
+      // Cost: each promotion rescans every live candidate with two lookups
+      // into the node arrays; hubs keep hundreds live on power-law inputs
+      // (powerlaw-reduce: 37M steps for 149,765 promotions). Packed
+      // in-place keys were faster there but read 5% slower end to end on
+      // fb-blocks, so this scan stays (DESIGN.md §7).
       NodeId best = kInvalidNode;
       uint32_t best_adj = 0;
       size_t live = 0;

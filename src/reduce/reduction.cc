@@ -28,7 +28,7 @@ bool ReductionMap::ExpandClique(std::span<const NodeId> reduced,
   if (!std::is_sorted(out->begin(), out->end())) {
     std::sort(out->begin(), out->end());
   }
-  return trivial_ends_.empty() || !Covered(*out);
+  return cover_pool_.empty() || !Covered(*out);
 }
 
 bool ReductionMap::Covered(std::span<const NodeId> c) const {
@@ -121,6 +121,9 @@ class Reducer {
       // confirming extra iteration is needed.
       if (!merged) break;
       if (options_.max_rounds != 0 && stats.rounds >= options_.max_rounds) {
+        // Finish the capped round's removals: the anchor rule relies on R
+        // keeping no vertex of degree <= 1 (see the header comment).
+        DrainWorklist();
         break;
       }
     }
@@ -244,6 +247,7 @@ class Reducer {
       }
     }
     ws_.alive.assign(n, 1);
+    ws_.anchored.assign(n, 0);
     ws_.queued.assign(n, 0);
     ws_.queue.clear();
     if (ws_.cls.size() < n) ws_.cls.resize(n);
@@ -322,11 +326,15 @@ class Reducer {
                        ws_.cls[v].end());
   }
 
-  /// Emits the sorted original-id candidate in ws_.scratch unless a
-  /// previously emitted trivial clique contains it.
-  void EmitOrSuppress() {
+  /// Emits the sorted original-id candidate in ws_.scratch, built for
+  /// removing `v` at degree `deg`, unless a previously emitted trivial
+  /// clique contains it. Only fold cliques (deg >= 2) enter the cover
+  /// index; a degree-1 removal instead anchors its surviving neighbor,
+  /// whose degree-0 candidate is the only one it can cover.
+  void EmitOrSuppress(NodeId v, uint32_t deg) {
     ReductionMap& map = out_.map;
-    if (map.Covered(ws_.scratch)) {
+    if (deg == 1) ws_.anchored[Row(v)[0]] = 1;
+    if ((deg == 0 && ws_.anchored[v] != 0) || map.Covered(ws_.scratch)) {
       ++out_.stats.suppressed_cliques;
       return;
     }
@@ -334,12 +342,13 @@ class Reducer {
     map.trivial_ids_.insert(map.trivial_ids_.end(), ws_.scratch.begin(),
                             ws_.scratch.end());
     map.trivial_ends_.push_back(map.trivial_ids_.size());
-    for (NodeId v : ws_.scratch) {
-      if (map.cover_count_[v] < 255) ++map.cover_count_[v];
-      map.cover_pool_.emplace_back(index, map.cover_head_[v]);
-      map.cover_head_[v] = static_cast<uint32_t>(map.cover_pool_.size() - 1);
-    }
     ++out_.stats.trivial_cliques;
+    if (deg <= 1) return;
+    for (NodeId w : ws_.scratch) {
+      if (map.cover_count_[w] < 255) ++map.cover_count_[w];
+      map.cover_pool_.emplace_back(index, map.cover_head_[w]);
+      map.cover_head_[w] = static_cast<uint32_t>(map.cover_pool_.size() - 1);
+    }
   }
 
   /// Simplicial elimination (degree-0/1 plus the capped dominated fold)
@@ -362,7 +371,7 @@ class Reducer {
       AppendClass(v);
       for (NodeId u : Row(v)) AppendClass(u);
       std::sort(ws_.scratch.begin(), ws_.scratch.end());
-      EmitOrSuppress();
+      EmitOrSuppress(v, deg);
 
       ReductionStats& stats = out_.stats;
       if (deg == 0) {
@@ -461,6 +470,8 @@ class Reducer {
     ws_.merge_scratch.insert(pos, u);
     rep_cls.swap(ws_.merge_scratch);
     u_cls.clear();
+    // rep's class grew past any degree-1 clique that anchored it.
+    ws_.anchored[rep] = 0;
 
     DetachVertex(u);
     ++out_.stats.twins_merged;

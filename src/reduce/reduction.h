@@ -30,9 +30,19 @@
 //  * Re-expansion leak check: a maximal clique C of the final R whose
 //    expansion is contained in an emitted trivial clique is non-maximal
 //    in G (possible once simplicial removals with degree >= 2 happened)
-//    and is dropped by ReductionMap::ExpandClique. With only
-//    degree-0/1/twin eliminations no leak can exist, and the check
-//    short-circuits on the covered-vertex counts.
+//    and is dropped by ReductionMap::ExpandClique.
+//
+// Only fold cliques (emitted by a removal of degree >= 2) enter the cover
+// index. A removal of x with degree <= 1 emits E_x or E_x u E_w, and every
+// later candidate or final-R clique holds the class of some alive vertex,
+// which is disjoint from E_x; so the only thing such a clique can cover is
+// the singleton class E_w of its surviving neighbor w, while w's class is
+// unchanged. One per-vertex anchor flag records that (cleared when w
+// absorbs a twin) and suppresses w's own degree-0 candidate. A final-R
+// clique {w} would need w isolated in R, which a drained worklist rules
+// out. On power-law inputs this keeps the hundreds of thousands of
+// {leaf, hub} pairs, and the hub chains they would form, out of the
+// index; with no fold clique the leak check costs nothing (DESIGN.md §10).
 //
 // Everything mutable during the fixed-point loop draws from a reusable
 // ReduceWorkspace (grow-only, like mce::BlockWorkspace), so repeated runs
@@ -55,7 +65,9 @@ struct ReduceOptions {
   /// is attempted; the clique test costs O(d^2 log deg). Degree-0/1
   /// elimination is always on. Must be >= 1.
   uint32_t max_fold_degree = 8;
-  /// Fixed-point round cap; 0 = iterate until no rule fires.
+  /// Fixed-point round cap; 0 = iterate until no rule fires. A capped
+  /// run still drains the worklist after its last twin pass, so R never
+  /// keeps a vertex of degree <= 1.
   uint32_t max_rounds = 0;
 };
 
@@ -113,7 +125,7 @@ class ReductionMap {
   friend class Reducer;
 
   /// True iff the sorted original-id clique `c` is a subset of some
-  /// emitted trivial clique.
+  /// emitted fold clique (a trivial clique from a removal of degree >= 2).
   bool Covered(std::span<const NodeId> c) const;
 
   bool active_ = false;
@@ -123,12 +135,14 @@ class ReductionMap {
   // Flat trivial-clique arena (original ids, each sorted).
   std::vector<NodeId> trivial_ids_;
   std::vector<size_t> trivial_ends_;
-  // Cover index: cover_count_[v] != 0 iff original vertex v appears in
-  // some trivial clique (saturating count, doubles as the "pick the
-  // rarest member" heuristic). The cliques containing v form a chain in
-  // cover_pool_ — (trivial index, next entry) — headed by cover_head_[v];
-  // one flat pool instead of per-vertex vectors keeps emission
-  // allocation-light.
+  // Cover index over the fold cliques only (degree-0/1 emissions cover
+  // nothing but anchored singletons, handled during the reduction; see
+  // the header comment). cover_count_[v] is the number of fold cliques
+  // holding original vertex v, saturating at 255: zero rules v's cliques
+  // out at once, and the smallest count picks the shortest chain to walk.
+  // The fold cliques containing v form a chain in cover_pool_ — (trivial
+  // index, next entry) — headed by cover_head_[v]; one flat pool instead
+  // of per-vertex vectors keeps emission allocation-light.
   static constexpr uint32_t kNoCoverEntry = 0xffffffffu;
   std::vector<uint8_t> cover_count_;
   std::vector<uint32_t> cover_head_;
@@ -159,6 +173,9 @@ class ReduceWorkspace {
   std::vector<uint32_t> deg;
   std::vector<uint32_t> cursor;           // mirror-construction scratch
   std::vector<uint8_t> alive;
+  // anchored[w] != 0: w's current class lies inside an emitted (or
+  // covered) degree-1 clique, so w's degree-0 candidate is not maximal.
+  std::vector<uint8_t> anchored;
   std::vector<uint8_t> queued;
   std::vector<NodeId> queue;
   std::vector<NodeId> candidates;         // pre-scan seed vertices

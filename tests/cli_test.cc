@@ -19,9 +19,12 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult RunCli(const std::string& args) {
+/// Runs mce_cli with `args`; `output` captures stdout, and stderr too
+/// unless `stderr_redirect` sends it elsewhere.
+CommandResult RunCli(const std::string& args,
+                     const std::string& stderr_redirect = "2>&1") {
   const std::string command =
-      std::string(MCE_CLI_PATH) + " " + args + " 2>&1";
+      std::string(MCE_CLI_PATH) + " " + args + " " + stderr_redirect;
   CommandResult result;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -37,6 +40,29 @@ CommandResult RunCli(const std::string& args) {
 
 std::string TempFile(const std::string& name) {
   return testing::TempDir() + "/mce_cli_test_" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::string text;
+  FILE* f = fopen(path.c_str(), "r");
+  if (f == nullptr) return text;
+  std::array<char, 4096> buffer;
+  size_t n;
+  while ((n = fread(buffer.data(), 1, buffer.size(), f)) > 0) {
+    text.append(buffer.data(), n);
+  }
+  fclose(f);
+  return text;
+}
+
+/// Like RunCli, but keeps stdout alone in `output` and returns stderr in
+/// *err.
+CommandResult RunCliSplit(const std::string& args, std::string* err) {
+  const std::string err_path = TempFile("stderr.txt");
+  CommandResult result = RunCli(args, "2>" + err_path);
+  *err = ReadFile(err_path);
+  std::remove(err_path.c_str());
+  return result;
 }
 
 class CliTest : public ::testing::Test {
@@ -125,6 +151,37 @@ TEST_F(CliTest, EnumerateWritesCliqueFile) {
   ASSERT_NE(f, nullptr);
   fclose(f);
   std::remove(out.c_str());
+}
+
+TEST_F(CliTest, EnumerateJsonStillWritesAndVerifies) {
+  // --json true keeps stdout one JSON object; --output and --verify still
+  // run, and their lines go to stderr.
+  const std::string json_out = TempFile("json_cliques.txt");
+  const std::string plain_out = TempFile("plain_cliques.txt");
+  std::string err;
+  CommandResult r = RunCliSplit("enumerate --input " + *graph_path_ +
+                                    " --ratio 0.5 --reduce --json true"
+                                    " --top 2 --verify true --output " +
+                                    json_out,
+                                &err);
+  EXPECT_EQ(r.exit_code, 0) << r.output << err;
+  ASSERT_FALSE(r.output.empty());
+  EXPECT_EQ(r.output.front(), '{') << r.output;
+  EXPECT_EQ(r.output.find('\n'), r.output.size() - 1) << r.output;
+  EXPECT_EQ(r.output.find("verification"), std::string::npos);
+  EXPECT_NE(err.find("wrote"), std::string::npos) << err;
+  EXPECT_NE(err.find("clique["), std::string::npos) << err;
+  EXPECT_NE(err.find("verification:"), std::string::npos) << err;
+  EXPECT_NE(err.find("[OK]"), std::string::npos) << err;
+  // The clique file matches the one a human-readable run writes.
+  CommandResult plain = RunCli("enumerate --input " + *graph_path_ +
+                               " --ratio 0.5 --reduce --output " + plain_out);
+  EXPECT_EQ(plain.exit_code, 0) << plain.output;
+  const std::string written = ReadFile(json_out);
+  EXPECT_FALSE(written.empty());
+  EXPECT_EQ(written, ReadFile(plain_out));
+  std::remove(json_out.c_str());
+  std::remove(plain_out.c_str());
 }
 
 TEST_F(CliTest, EnumerateExecutorFlagSelectsEngine) {

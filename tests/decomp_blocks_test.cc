@@ -302,9 +302,17 @@ std::vector<NodeId> ReferenceOrderSeeds(const Graph& g,
   return seeds;
 }
 
+/// What the oracle saw while growing blocks: the largest live candidate
+/// pool and how many candidates went infeasible.
+struct OracleStats {
+  size_t max_candidates = 0;
+  size_t infeasible = 0;
+};
+
 std::vector<Block> ReferenceBuildBlocks(const Graph& g,
                                         const std::vector<NodeId>& feasible,
-                                        const BlocksOptions& options) {
+                                        const BlocksOptions& options,
+                                        OracleStats* stats = nullptr) {
   std::vector<Block> blocks;
   const uint32_t m = options.max_block_size;
   std::vector<uint8_t> is_feasible(g.num_nodes(), 0);
@@ -336,6 +344,10 @@ std::vector<Block> ReferenceBuildBlocks(const Graph& g,
     promote(seed);
 
     for (;;) {
+      if (stats != nullptr) {
+        stats->max_candidates =
+            std::max(stats->max_candidates, candidate_adjacency.size());
+      }
       NodeId best = kInvalidNode;
       uint32_t best_adj = 0;
       for (const auto& [node, adj] : candidate_adjacency) {
@@ -352,6 +364,7 @@ std::vector<Block> ReferenceBuildBlocks(const Graph& g,
         if (!block_nodes.count(w)) ++added;
       }
       if (block_nodes.size() + added > m) {
+        if (stats != nullptr) ++stats->infeasible;
         infeasible.insert(best);
         candidate_adjacency.erase(best);
         continue;
@@ -494,6 +507,27 @@ TEST(BlocksOracleTest, MatchesReferenceWhenCandidatesGoInfeasible) {
   const Graph dense = gen::ErdosRenyiGnp(60, 0.15, &rng);
   SweepAgainstReference(dense, dense.MaxDegree() + 1, "dense-tight-m",
                         &relabeled);
+}
+
+TEST(BlocksOracleTest, MatchesReferenceOnHubHeavyGraphAtLargeM) {
+  // Power-law hubs at m in the hundreds: a hub kernel keeps hundreds of
+  // candidates live at once, and candidates whose neighborhoods no longer
+  // fit leave the pool mid-block, so selection, compaction and the
+  // infeasible marking all run at scale.
+  Rng rng(403);
+  const Graph g = gen::PowerLawConfigurationModel(3000, 2.1, 1, 280, &rng);
+  for (uint32_t m : {300u, 500u}) {
+    const CutResult cut = Cut(g, m);
+    BlocksOptions options;
+    options.max_block_size = m;
+    options.seed_policy = SeedPolicy::kHighestDegree;
+    OracleStats stats;
+    ReferenceBuildBlocks(g, cut.feasible, options, &stats);
+    EXPECT_GE(stats.max_candidates, 100u) << "m=" << m;
+    EXPECT_GE(stats.infeasible, 1u) << "m=" << m;
+    bool relabeled = false;
+    SweepAgainstReference(g, m, "powerlaw-hubs", &relabeled);
+  }
 }
 
 TEST(BlocksOracleTest, MatchesReferenceOnEmptyFeasibleSet) {

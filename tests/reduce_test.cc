@@ -20,6 +20,7 @@
 #include "graph/graph.h"
 #include "mce/clique.h"
 #include "mce/enumerator.h"
+#include "mce/naive.h"
 #include "reduce/relabel.h"
 #include "util/random.h"
 
@@ -185,6 +186,121 @@ TEST(ReduceGraphTest, ExpandCliqueDropsLeakedCliques) {
   EXPECT_TRUE(CliqueSet::Equal(got, want));
 }
 
+TEST(ReduceGraphTest, TwinMergedHubKeepsItsClassClique) {
+  // K12 on 0..11 with five leaves on hub 0. The leaves' degree-1 removals
+  // anchor 0; the K12 members (degree > max_fold_degree) then merge into
+  // 0 as true twins, which isolates 0 with class {0..11}. That class is a
+  // maximal clique no emitted clique contains: the anchor set by {0,leaf}
+  // must not suppress it once 0's class has grown.
+  GraphBuilder b(17);
+  for (NodeId i = 0; i < 12; ++i)
+    for (NodeId j = i + 1; j < 12; ++j) b.AddEdge(i, j);
+  for (NodeId leaf = 12; leaf < 17; ++leaf) b.AddEdge(0, leaf);
+  const Graph g = b.Build();
+  ReductionResult r = ReduceGraph(g, ReduceOptions{});
+  EXPECT_EQ(r.graph.num_nodes(), 0u);
+  EXPECT_EQ(r.stats.degree1_removed, 5u);
+  EXPECT_EQ(r.stats.twins_merged, 11u);
+  EXPECT_EQ(r.stats.isolated_removed, 1u);
+  EXPECT_EQ(r.stats.trivial_cliques, 6u);
+  EXPECT_EQ(r.stats.suppressed_cliques, 0u);
+  CliqueSet got = ReassembledCliques(g, r);
+  CliqueSet want = Reference(g);
+  ASSERT_EQ(want.size(), 6u);
+  EXPECT_TRUE(CliqueSet::Equal(got, want));
+}
+
+/// True iff every vertex of `g` has degree >= 2.
+bool MinDegreeAtLeastTwo(const Graph& g) {
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.Degree(v) < 2) return false;
+  }
+  return true;
+}
+
+TEST(ReduceGraphTest, RoundCapDrainsAndStaysExact) {
+  // K12 on 0..11 plus z=12 adjacent to 0 and 1, folds off: nothing fires
+  // until the twin pass merges {0,1} and {2..11}, which leaves the path
+  // z - 0 - 2 behind. The capped round still drains it: z and then 0 go
+  // as degree-1 removals, and 2's degree-0 class {2..11} is suppressed by
+  // its anchor alone (the K12 that covers it is a degree-1 emission).
+  GraphBuilder b(13);
+  for (NodeId i = 0; i < 12; ++i)
+    for (NodeId j = i + 1; j < 12; ++j) b.AddEdge(i, j);
+  b.AddEdge(0, 12);
+  b.AddEdge(1, 12);
+  const Graph g = b.Build();
+  ReduceOptions options;
+  options.max_fold_degree = 1;
+  options.max_rounds = 1;
+  ReductionResult r = ReduceGraph(g, options);
+  EXPECT_EQ(r.stats.rounds, 1u);
+  EXPECT_EQ(r.stats.twins_merged, 10u);
+  EXPECT_EQ(r.graph.num_nodes(), 0u);
+  EXPECT_EQ(r.stats.trivial_cliques, 2u);
+  EXPECT_EQ(r.stats.suppressed_cliques, 1u);
+  CliqueSet got = ReassembledCliques(g, r);
+  CliqueSet want = Reference(g);
+  EXPECT_TRUE(CliqueSet::Equal(got, want));
+}
+
+/// `g` plus a true twin for each of its `count` highest-degree vertices:
+/// each twin is adjacent to its hub, to the hub's neighbors, and to the
+/// twins of adjacent hubs, so hub and twin share a closed neighborhood.
+Graph WithHubTwins(const Graph& g, size_t count) {
+  std::vector<NodeId> order(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) order[v] = v;
+  std::stable_sort(order.begin(), order.end(), [&g](NodeId a, NodeId b) {
+    return g.Degree(a) > g.Degree(b);
+  });
+  order.resize(std::min(count, order.size()));
+  std::vector<NodeId> twin_of(g.num_nodes(), kInvalidNode);
+  for (size_t i = 0; i < order.size(); ++i) {
+    twin_of[order[i]] = g.num_nodes() + static_cast<NodeId>(i);
+  }
+  GraphBuilder b(g.num_nodes() + static_cast<NodeId>(order.size()));
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    for (NodeId v : g.Neighbors(u))
+      if (u < v) b.AddEdge(u, v);
+  for (NodeId hub : order) {
+    const NodeId twin = twin_of[hub];
+    b.AddEdge(hub, twin);
+    for (NodeId v : g.Neighbors(hub)) {
+      b.AddEdge(v, twin);
+      if (twin_of[v] != kInvalidNode && hub < v) b.AddEdge(twin, twin_of[v]);
+    }
+  }
+  return b.Build();
+}
+
+TEST(ReduceGraphTest, CappedAndFoldLimitedRunsStayExact) {
+  // Every round cap and fold cap must give an exact reassembly and leave
+  // R without a vertex of degree <= 1 (the anchor rule relies on it).
+  Rng rng(31);
+  const std::vector<Graph> graphs = {
+      WithHubTwins(gen::PowerLawConfigurationModel(300, 2.2, 1, 40, &rng), 12),
+      WithHubTwins(gen::BarabasiAlbert(200, 3, &rng), 8),
+  };
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
+    CliqueSet want = Reference(g);
+    for (uint32_t rounds : {0u, 1u, 2u}) {
+      for (uint32_t fold : {1u, 3u, 8u}) {
+        ReduceOptions options;
+        options.max_rounds = rounds;
+        options.max_fold_degree = fold;
+        ReductionResult r = ReduceGraph(g, options);
+        ASSERT_FALSE(r.unchanged);
+        EXPECT_TRUE(MinDegreeAtLeastTwo(r.graph))
+            << "graph " << gi << " rounds=" << rounds << " fold=" << fold;
+        CliqueSet got = ReassembledCliques(g, r);
+        EXPECT_TRUE(CliqueSet::Equal(got, want))
+            << "graph " << gi << " rounds=" << rounds << " fold=" << fold;
+      }
+    }
+  }
+}
+
 TEST(ReduceGraphTest, NothingFiresOnARegularRingLattice) {
   // Watts-Strogatz beta=0 (k=6 ring lattice): 6-regular, every
   // neighborhood non-clique, all closed neighborhoods distinct — the
@@ -335,6 +451,39 @@ TEST(ReducePropertyTest, ReducedMatchesUnreducedAcrossTheSweep) {
               << " threads=" << threads;
         }
       }
+    }
+  }
+}
+
+TEST(ReducePropertyTest, HubHeavyDifferentialAgainstNaive) {
+  // Hub-heavy power-law inputs, where most trivial cliques are {leaf, hub}
+  // pairs kept out of the cover index: reduce on/off x serial/pooled@4
+  // must all equal the naive enumerator, and serial and pooled must emit
+  // the same cliques in the same order.
+  for (uint64_t seed : {41u, 42u, 43u}) {
+    Rng rng(seed);
+    const Graph g = WithHubTwins(
+        gen::PowerLawConfigurationModel(1500, 2.1, 1, 150, &rng), 6);
+    CliqueSet want = NaiveMceSet(g);
+    for (bool reduce : {false, true}) {
+      decomp::FindMaxCliquesOptions options;
+      options.max_block_size = 40;
+      options.reduce = reduce;
+      options.executor = decomp::ExecutorKind::kSerial;
+      options.num_threads = 1;
+      decomp::FindMaxCliquesResult serial = decomp::FindMaxCliques(g, options);
+      options.executor = decomp::ExecutorKind::kPooled;
+      options.num_threads = 4;
+      decomp::FindMaxCliquesResult pooled = decomp::FindMaxCliques(g, options);
+      EXPECT_EQ(serial.reduction.enabled, reduce);
+      if (reduce) {
+        EXPECT_GT(serial.reduction.degree1_removed, 0u) << seed;
+        EXPECT_GT(serial.reduction.twins_merged, 0u) << seed;
+      }
+      EXPECT_EQ(serial.cliques.cliques(), pooled.cliques.cliques())
+          << "seed " << seed << " reduce=" << reduce;
+      EXPECT_TRUE(CliqueSet::Equal(serial.cliques, want))
+          << "seed " << seed << " reduce=" << reduce;
     }
   }
 }

@@ -376,26 +376,30 @@ int CmdEnumerate(const Flags& flags) {
     }
     std::fprintf(stderr, "wrote metrics to %s\n", metrics_out.c_str());
   }
-  if (flags.GetBool("json")) {
+  // --json true keeps stdout one JSON object: the human-readable lines
+  // (--top, --output, --verify) go to stderr instead.
+  const bool json = flags.GetBool("json");
+  FILE* human = json ? stderr : stdout;
+  if (json) {
     std::printf("%s\n", mce::RunReportJson(*result).c_str());
-    return 0;
-  }
-  std::printf("%s\n", result->stats.ToString().c_str());
-  if (result->cluster.has_value()) {
-    std::printf("cluster: %d workers, makespan %.4fs, compute speedup "
-                "%.2fx, skew %.2f\n",
-                result->cluster->workers, result->cluster->makespan_seconds,
-                result->cluster->compute_speedup,
-                result->cluster->max_level_skew);
+  } else {
+    std::printf("%s\n", result->stats.ToString().c_str());
+    if (result->cluster.has_value()) {
+      std::printf("cluster: %d workers, makespan %.4fs, compute speedup "
+                  "%.2fx, skew %.2f\n",
+                  result->cluster->workers, result->cluster->makespan_seconds,
+                  result->cluster->compute_speedup,
+                  result->cluster->max_level_skew);
+    }
   }
   const int top = flags.GetInt("top", 0);
   if (top > 0) {
     for (size_t idx : mce::LargestCliqueIndices(result->cliques, top)) {
       const mce::Clique& c = result->cliques.cliques()[idx];
-      std::printf("clique[%zu members]%s:", c.size(),
-                  result->origin_level[idx] >= 1 ? " (hub-only)" : "");
-      for (NodeId v : c) std::printf(" %u", v);
-      std::printf("\n");
+      std::fprintf(human, "clique[%zu members]%s:", c.size(),
+                   result->origin_level[idx] >= 1 ? " (hub-only)" : "");
+      for (NodeId v : c) std::fprintf(human, " %u", v);
+      std::fprintf(human, "\n");
     }
   }
   const std::string output = flags.Get("output", "");
@@ -405,13 +409,13 @@ int CmdEnumerate(const Flags& flags) {
       std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %zu cliques to %s\n", result->cliques.size(),
-                output.c_str());
+    std::fprintf(human, "wrote %zu cliques to %s\n", result->cliques.size(),
+                 output.c_str());
   }
   if (flags.GetBool("verify")) {
     mce::VerificationReport report =
         mce::VerifyAgainstReference(*g, result->cliques);
-    std::printf("verification: %s\n", report.ToString().c_str());
+    std::fprintf(human, "verification: %s\n", report.ToString().c_str());
     if (!report.ok()) return 1;
   }
   return 0;
